@@ -47,9 +47,17 @@ def _solve(model: ValidatedModel, solver: str, tol: float) -> SolutionTable:
 
 
 def _write_atomic(path: str, data: str):
-    """Fully build then write; an unwritable path leaves no partial file."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(data)
+    """Write a temporary file beside ``path``, then rename it into place: a
+    failed write leaves no partial file and any existing file unchanged."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _boundaries(solution: SolutionTable) -> dict:
@@ -77,12 +85,7 @@ def _boundaries(solution: SolutionTable) -> dict:
 def cmd_solve(args) -> int:
     model = _load_model(args.config)
     solution = _solve(model, args.solver, args.tol)
-    csv = solution.to_csv()
-    try:
-        _write_atomic(args.out, csv)
-    except OSError as exc:
-        print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
-        return 1
+    _write_atomic(args.out, solution.to_csv())
     B, V = model.B, model.V
     print(f"solver: {solution.solver_id}")
     print(f"states: {B * V + 1}  actions: {len(model.actions)}")
@@ -191,7 +194,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, ValidationError, OSError) as exc:  # OSError: an output write failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -89,6 +89,15 @@ class EstimateResult:
     seed: int
 
 
+def _transition(model: ValidatedModel, b, v, a, w):
+    """One slot, elementwise over scalars or arrays: (next b, next v, stage
+    cost, success), where w <= s counts as a success."""
+    success = w <= model.actions[a]
+    cost = model.h[b - 1] + model.c[a] - np.where(success, model.r[v - 1], 0.0)
+    done = success | (v <= 1)
+    return np.where(done, b - 1, b), np.where(done, model.V, v - 1), cost, success
+
+
 def step(model: ValidatedModel, state: tuple[int, int], action_index: int,
          w: float) -> tuple[tuple[int, int], float, Event]:
     """Advance one slot.  w = s counts as a success."""
@@ -97,13 +106,9 @@ def step(model: ValidatedModel, state: tuple[int, int], action_index: int,
         raise ValueError("cannot step from the terminal state")
     if not (0.0 <= w <= 1.0):
         raise ValueError(f"noise {w!r} outside [0, 1]")
-    s = float(model.actions[action_index])
-    cost = model.h_of(b) + model.c_of(action_index)
-    if w <= s:
-        return (b - 1, model.V), cost - model.r_of(v), Event.COMPLETED
-    if v > 1:
-        return (b, v - 1), cost, Event.DECAYED
-    return (b - 1, model.V), cost, Event.EJECTED
+    nb, nv, cost, success = _transition(model, b, v, action_index, w)
+    event = Event.COMPLETED if success else Event.DECAYED if nb == b else Event.EJECTED
+    return (int(nb), int(nv)), float(cost), event
 
 
 def simulate_episode(model: ValidatedModel, policy: PolicyTable,
@@ -137,13 +142,9 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
         raise ValueError("n must be >= 1")
     if initial[0] == 0:
         raise ValueError("initial state must be nonterminal")
-    B, V = model.B, model.V
-    L = B * V
+    L = model.B * model.V
     W = np.random.default_rng(seed).random(n * L).reshape(n, L)
     pol = policy.action_index
-    actions = model.actions
-    h, c, r = model.h, model.c, model.r
-
     b = np.full(n, initial[0], dtype=np.int64)
     v = np.full(n, initial[1], dtype=np.int64)
     total = np.zeros(n)
@@ -152,16 +153,9 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
         if not active.any():
             break
         ab, av = b[active], v[active]
-        ai = pol[ab, av]
-        s = actions[ai]
-        w = W[active, t]
-        success = w <= s
-        cost = h[ab - 1] + c[ai] - np.where(success, r[av - 1], 0.0)
+        nb, nv, cost, _ = _transition(model, ab, av, pol[ab, av], W[active, t])
         total[active] += cost
-        eject = ~success & (av == 1)
-        done = success | eject
-        b[active] = np.where(done, ab - 1, ab)
-        v[active] = np.where(done, V, av - 1)
+        b[active], v[active] = nb, nv
     if (b > 0).any():
         raise AssertionError("episode failed to terminate within B*V slots")
     return total

@@ -5,9 +5,13 @@ optimal policy mu:
 
   * ``solve_recursive`` runs the increment recursion (delta/sigma), which
     characterizes the Bellman equation exactly in B*V*|S| evaluations;
-  * ``value_iteration`` applies Bellman backups over the state space;
+  * ``value_iteration`` repeats Bellman sweeps until the residual is at most tol;
   * ``policy_iteration`` alternates exact policy evaluation with greedy
     improvement.
+
+Both iterations are built on one backward pass in (b, v) ascending order,
+exact in one sweep since (b, v) leads only to (b, v-1) or (b-1, V); VI still
+counts one exact sweep plus one that certifies convergence.
 
 Every solver returns the same ``SolutionTable`` contract, including the
 increment tables delta and sigma (reconstructed from J differences when not
@@ -120,18 +124,26 @@ def solution_from_csv(text: str) -> SolutionTable:
     if lines[0] != "b,v,J,mu_index,mu_value,delta,sigma":
         raise ValueError(f"unexpected CSV header {lines[0]!r}")
     rows = [line.split(",") for line in lines[1:]]
-    terminal = rows[-1]
+    for n, r in enumerate(rows, start=2):
+        if len(r) != 7:
+            raise ValueError(f"line {n} has {len(r)} fields, expected 7")
+    if len(rows) < 2:
+        raise ValueError("no policy rows")
+    *body, terminal = rows
     if terminal[0] != "0":
         raise ValueError("terminal row missing")
-    body = rows[:-1]
     B = max(int(r[0]) for r in body)
     V = int(terminal[1])
-    J = np.zeros((B + 1, V + 1))
+    if len(body) != B * V:
+        raise ValueError(f"{len(body)} policy rows for the {B}x{V} state grid")
+    J, delta, sigma = np.zeros((3, B + 1, V + 1))
     mu = np.zeros((B + 1, V + 1), dtype=int)
-    delta = np.zeros((B + 1, V + 1))
-    sigma = np.zeros((B + 1, V + 1))
+    seen = np.zeros((B + 1, V + 1), dtype=bool)
     for r in body:
         b, v = int(r[0]), int(r[1])
+        if b < 1 or not 1 <= v <= V or seen[b, v]:
+            raise ValueError(f"state ({b}, {v}) is repeated or outside the {B}x{V} grid")
+        seen[b, v] = True
         J[b, v] = float(r[2])
         mu[b, v] = int(r[3])
         delta[b, v] = float(r[5])
@@ -196,51 +208,65 @@ def solve_recursive(model: ValidatedModel) -> SolutionTable:
                          solver_id="recursive", model=model)
 
 
-def bellman_backup(model: ValidatedModel, J: np.ndarray, b: int, v: int) -> tuple[float, int]:
-    """One Bellman backup at (b, v) against the given J table.
-
-    Returns the minimal expected one-step-plus-continuation cost and the
-    smallest minimizing action index.  Success moves to (b-1, V); failure
-    decays to (b, v-1), or ejects to (b-1, V) when v = 1.
-    """
+def _action_values(model: ValidatedModel, J: np.ndarray, b: int, v: int) -> np.ndarray:
+    """Expected cost of every action at (b, v): success moves to (b-1, V);
+    failure decays to (b, v-1), or ejects to (b-1, V) when v = 1."""
     s = model.actions
     down = J[b - 1, model.V]
     cont = J[b, v - 1] if v > 1 else down
-    vals = model.c + model.h_of(b) + s * (down - model.r_of(v)) + (1.0 - s) * cont
+    return model.c + model.h_of(b) + s * (down - model.r_of(v)) + (1.0 - s) * cont
+
+
+def bellman_backup(model: ValidatedModel, J: np.ndarray, b: int, v: int) -> tuple[float, int]:
+    """One Bellman backup at (b, v) against the given J table: the minimal
+    cost over actions and the smallest minimizing action index."""
+    vals = _action_values(model, J, b, v)
     a = int(np.argmin(vals))
     return float(vals[a]), a
 
 
+def _backward_pass(model: ValidatedModel, J: np.ndarray,
+                   fixed: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """One in-place sweep in DAG order (b, then v, ascending), setting J[b, v]
+    to the greedy minimum or to the value of action ``fixed[b, v]``.  Each
+    state reads only (b, v-1) and (b-1, V), already final, so one pass is
+    exact.  Returns the sup-norm change of J and the greedy policy."""
+    mu = np.zeros(J.shape, dtype=int)
+    residual = 0.0
+    for b in range(1, model.B + 1):
+        for v in range(1, model.V + 1):
+            vals = _action_values(model, J, b, v)
+            mu[b, v] = a = int(np.argmin(vals))
+            new = float(vals[a if fixed is None else fixed[b, v]])
+            residual = max(residual, abs(new - J[b, v]))
+            J[b, v] = new
+    return residual, mu
+
+
 def _increments_from_J(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reconstruct delta and sigma from J differences."""
-    B, V = J.shape[0] - 1, J.shape[1] - 1
-    delta = np.zeros((B + 1, V + 1))
-    for b in range(1, B + 1):
-        delta[b, 1] = J[b, 1] - J[b - 1, V]
-        for v in range(2, V + 1):
-            delta[b, v] = J[b, v] - J[b, v - 1]
-    sigma = np.cumsum(delta, axis=1)
-    sigma[0, :] = 0.0
-    return delta, sigma
+    delta = np.zeros(J.shape)
+    delta[1:, 1] = J[1:, 1] - J[:-1, -1]
+    delta[1:, 2:] = J[1:, 2:] - J[1:, 1:-1]
+    return delta, np.cumsum(delta, axis=1)
 
 
 def value_iteration(model: ValidatedModel, tol: float = 1e-9,
                     max_sweeps: int | None = None) -> SolutionTable:
     """Solve by in-place Bellman sweeps from J = 0.
 
-    The transition graph is a DAG under the sweep order (b ascending, v
-    ascending), so the first sweep is already exact and the second certifies
-    convergence.  ``max_sweeps`` defaults to B*V + 1, which bounds any sweep
-    order since every episode ends within B*V slots.
+    Each sweep is one backward pass, so the first sweep is already exact and
+    the second certifies convergence; mu is the last sweep's greedy policy.
+    ``max_sweeps`` defaults to B*V + 1, which bounds any sweep order since
+    every episode ends within B*V slots.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    B, V = model.B, model.V
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     if max_sweeps is None:
-        max_sweeps = B * V + 1
+        max_sweeps = model.B * model.V + 1
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    J = np.zeros((B + 1, V + 1))
+    J = np.zeros((model.B + 1, model.V + 1))
     residual = np.inf
     sweeps = 0
     while residual > tol:
@@ -248,63 +274,39 @@ def value_iteration(model: ValidatedModel, tol: float = 1e-9,
             raise ConvergenceError(
                 f"no convergence after {max_sweeps} sweeps; sup-norm residual {residual:g}"
             )
-        residual = 0.0
-        for b in range(1, B + 1):
-            for v in range(1, V + 1):
-                new, _ = bellman_backup(model, J, b, v)
-                residual = max(residual, abs(new - J[b, v]))
-                J[b, v] = new
+        residual, mu = _backward_pass(model, J)
         sweeps += 1
-    mu = np.zeros((B + 1, V + 1), dtype=int)
-    for b in range(1, B + 1):
-        for v in range(1, V + 1):
-            _, mu[b, v] = bellman_backup(model, J, b, v)
     delta, sigma = _increments_from_J(J)
     return SolutionTable(J=J, mu=mu, delta=delta, sigma=sigma,
                          solver_id="value_iteration", model=model, sweeps=sweeps)
 
 
 def evaluate_policy(model: ValidatedModel, policy: PolicyTable) -> np.ndarray:
-    """Exact expected total cost of a fixed policy, state by state.
-
-    A single backward pass in the order (b ascending, v ascending) suffices:
-    each state depends only on (b, v-1) and (b-1, V), both already solved.
-    """
-    B, V = model.B, model.V
-    J = np.zeros((B + 1, V + 1))
-    for b in range(1, B + 1):
-        for v in range(1, V + 1):
-            a = policy.s_at(b, v)
-            s = float(model.actions[a])
-            down = J[b - 1, V]
-            cont = J[b, v - 1] if v > 1 else down
-            J[b, v] = (model.c_of(a) + model.h_of(b)
-                       + s * (down - model.r_of(v)) + (1.0 - s) * cont)
+    """Exact expected total cost of a fixed policy: one backward pass."""
+    J = np.zeros((model.B + 1, model.V + 1))
+    _backward_pass(model, J, fixed=policy.action_index)
     return J
 
 
 def policy_iteration(model: ValidatedModel) -> SolutionTable:
     """Solve by exact policy iteration from the all-lowest-action policy.
 
-    Evaluation is an exact backward DAG pass (no linear solve, no
-    tolerance); improvement is greedy with low ties.  Terminates because the
-    policy space is finite and every policy is proper.
+    Each iteration is one backward pass with the policy fixed: exact
+    evaluation (no linear solve, no tolerance) whose greedy policy, with low
+    ties, is the improvement.  Terminates because the policy space is finite
+    and every policy is proper.
     """
-    B, V = model.B, model.V
-    policy = PolicyTable(action_index=np.zeros((B + 1, V + 1), dtype=int))
+    mu = np.zeros((model.B + 1, model.V + 1), dtype=int)
+    J = np.zeros(mu.shape)
     iterations = 0
     while True:
         iterations += 1
-        J = evaluate_policy(model, policy)
-        improved = policy.action_index.copy()
-        for b in range(1, B + 1):
-            for v in range(1, V + 1):
-                _, improved[b, v] = bellman_backup(model, J, b, v)
-        if np.array_equal(improved, policy.action_index):
+        _, improved = _backward_pass(model, J, fixed=mu)
+        if np.array_equal(improved, mu):
             break
-        policy = PolicyTable(action_index=improved)
+        mu = improved
     delta, sigma = _increments_from_J(J)
-    return SolutionTable(J=J, mu=policy.action_index.copy(), delta=delta, sigma=sigma,
+    return SolutionTable(J=J, mu=mu, delta=delta, sigma=sigma,
                          solver_id="policy_iteration", model=model, sweeps=iterations)
 
 

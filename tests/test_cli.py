@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from decayq.cli import main
+from decayq.cli import _write_atomic, main
 
 FIG1A = {
     "B": 20, "V": 10, "actions": [0.1, 0.5, 0.9],
@@ -43,6 +43,17 @@ class TestSolve:
         rc = main(["solve", "--config", config_file(FIG1A), "--out", str(out)])
         assert rc == 1
         assert not out.exists()
+
+    def test_failed_write_keeps_existing_file(self, tmp_path):
+        out = tmp_path / "solution.csv"
+        out.write_text("previous\n")
+        with pytest.raises(UnicodeEncodeError):
+            _write_atomic(str(out), "b,v\n\ud800\n")  # a lone surrogate is not UTF-8
+        assert out.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["solution.csv"]
+        _write_atomic(str(out), "new\n")
+        assert out.read_text() == "new\n"
+        assert os.listdir(tmp_path) == ["solution.csv"]
 
     def test_solvers_agree_on_mu_column(self, tmp_path, config_file):
         cfg = config_file(FIG1A)
@@ -122,6 +133,13 @@ class TestFigures:
 
     def test_nonexistent_dir_fails_before_solving(self, tmp_path, capsys):
         assert main(["figures", "--out", str(tmp_path / "missing")]) == 1
+
+    def test_blocked_artifact_path_exits_one(self, tmp_path, capsys):
+        (tmp_path / "1a_policy.csv").mkdir()
+        assert main(["figures", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "1a_policy.csv" in err
+        assert sorted(os.listdir(tmp_path)) == ["1a_policy.csv"]
 
     def test_boundary_data_matches_policy_changes(self, tmp_path):
         out = tmp_path / "figs"

@@ -6,10 +6,14 @@ numerics, tie-breaking, or export format shows up here first.
 
 import hashlib
 import os
+from pathlib import Path
 
 import pytest
 
+from decayq import validate
 from decayq.cli import main
+from decayq.presets import preset_by_id
+from decayq.solver import policy_iteration, value_iteration
 
 GOLDEN_SHA256 = {
     "1a_boundaries.json": "129fedf5396daa8b76b9c53b430883ab46f809b9aa74e056fc57e5761c6f4108",
@@ -28,6 +32,29 @@ GOLDEN_SHA256 = {
 }
 
 
+# to_csv() of value_iteration and policy_iteration on each preset, and the
+# stdout of `simulate --config demos/sample_config.json --n 2000 --seed 0`.
+# The VI/PI tests elsewhere allow a 1e-9 gap; these catch a last-bit change.
+SOLVER_SHA256 = {
+    "1a_vi.csv": "49010a1163dda901d93c5cd64ea18b04eb8f558df25983da95572e5b4b2aa6d6",
+    "1a_pi.csv": "49010a1163dda901d93c5cd64ea18b04eb8f558df25983da95572e5b4b2aa6d6",
+    "1b_vi.csv": "d174683cdbb6d19d69b476902b608d52dd57066388f3115985c5293432e968aa",
+    "1b_pi.csv": "d174683cdbb6d19d69b476902b608d52dd57066388f3115985c5293432e968aa",
+    "1c_vi.csv": "94796b0f9e79e24e709e4009abfc8c1c028350d4bf880fd76964541586daa5ec",
+    "1c_pi.csv": "94796b0f9e79e24e709e4009abfc8c1c028350d4bf880fd76964541586daa5ec",
+    "1d_vi.csv": "e5ac8e73c8aba04788953a7cd2574764c9c926e7532cda6564b6f8d314efe8ab",
+    "1d_pi.csv": "e5ac8e73c8aba04788953a7cd2574764c9c926e7532cda6564b6f8d314efe8ab",
+    "simulate_stdout": "e8cc4c1b700d3e9ac02b80373da4910b5671387314a21c4e4500d0ac85322063",
+}
+
+SAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "sample_config.json"
+_SOLVERS = {"vi": value_iteration, "pi": policy_iteration}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
     out = tmp_path_factory.mktemp("figures")
@@ -43,3 +70,17 @@ def test_no_unexpected_artifacts(artifacts):
 def test_artifact_bytes_pinned(artifacts, name):
     digest = hashlib.sha256((artifacts / name).read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("preset_id", ["1a", "1b", "1c", "1d"])
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
+def test_solver_csv_pinned(preset_id, solver):
+    model = validate(preset_by_id(preset_id).config)
+    csv = _SOLVERS[solver](model).to_csv()
+    assert _sha256(csv) == SOLVER_SHA256[f"{preset_id}_{solver}.csv"]
+
+
+def test_simulate_stdout_pinned(capsys):
+    argv = ["simulate", "--config", str(SAMPLE_CONFIG), "--n", "2000", "--seed", "0"]
+    assert main(argv) == 0
+    assert _sha256(capsys.readouterr().out) == SOLVER_SHA256["simulate_stdout"]

@@ -93,6 +93,19 @@ class TestSimulateEpisode:
             nxt, _, _ = step(m, last.state, last.action_index, last.w)
             assert nxt == (0, m.V)
 
+    def test_first_vectorized_episode_is_the_scalar_episode(self):
+        # One-at-a-time default_rng(seed).random() draws equal the prefix of
+        # .random(B*V), so both simulators see the same noise, bit for bit.
+        rng = np.random.default_rng(61)
+        for _ in range(60):
+            m = random_model(rng)
+            pol = PolicyTable(action_index=rng.integers(
+                0, len(m.actions), size=(m.B + 1, m.V + 1)))
+            initial = (int(rng.integers(1, m.B + 1)), int(rng.integers(1, m.V + 1)))
+            seed = int(rng.integers(1 << 30))
+            traj = simulate_episode(m, pol, initial, seed)
+            assert traj.total_cost == episode_costs(m, pol, initial, 1, seed)[0]
+
     def test_jsonl_export(self):
         m = table_model(1, 2, [0.0], h=[1.0], c=[0.0], r=[1.0, 1.0])
         traj = simulate_episode(m, const_policy(m, 0), (1, 2), seed=0)

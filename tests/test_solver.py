@@ -161,6 +161,8 @@ class TestValueIteration:
         with pytest.raises(ValueError):
             value_iteration(m, tol=0.0)
         with pytest.raises(ValueError):
+            value_iteration(m, tol=float("inf"))
+        with pytest.raises(ValueError):
             value_iteration(m, max_sweeps=0)
 
 
@@ -259,6 +261,23 @@ class TestCsvRoundTrip:
         lines = sol.to_csv().strip().split("\n")
         assert len(lines) == 1 + 200 + 1  # header, B*V policy rows, terminal
         assert lines[-1] == "0,10,0,,,,"
+
+    # A 2x2 export is the header, rows (1,1) (1,2) (2,1) (2,2), then the terminal row.
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows[:1], "no policy rows"),
+        (lambda rows: rows[:1] + rows[-1:], "no policy rows"),
+        (lambda rows: rows[:2] + [rows[2] + ",9"] + rows[3:], "line 3 has 8 fields"),
+        (lambda rows: rows[:2] + rows[3:], "3 policy rows for the 2x2 state grid"),
+        (lambda rows: rows[:3] + rows[2:4] + rows[-1:], r"state \(1, 2\) is repeated"),
+        (lambda rows: rows[:-2] + ["2,3" + rows[-2][3:]] + rows[-1:], "outside the 2x2 grid"),
+        (lambda rows: rows[:-1], "terminal row missing"),
+    ], ids=["header_only", "terminal_only", "extra_field", "missing_state",
+            "duplicate_state", "state_off_grid", "no_terminal"])
+    def test_malformed_body_rejected(self, edit, message):
+        m = table_model(2, 2, [0.3, 0.7], h=[1.0, 2.0], c=[0.5, 1.5], r=[1.0, 2.0])
+        rows = solve_recursive(m).to_csv().strip().split("\n")
+        with pytest.raises(ValueError, match=message):
+            solution_from_csv("\n".join(edit(rows)) + "\n")
 
 
 class TestNearTieDiagnostic:

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from .model import ConfigError, ValidatedModel, ValidationError, load_config, validate
@@ -67,22 +70,25 @@ def _boundaries(solution: SolutionTable) -> dict:
     regions, in both the v direction (within a row) and the b direction.
     """
     mu = solution.mu
-    in_v = []
-    in_b = []
-    for b in range(1, solution.B + 1):
-        for v in range(1, solution.V):
-            if mu[b, v] != mu[b, v + 1]:
-                in_v.append({"from": [b, v], "to": [b, v + 1],
-                             "mu_from": int(mu[b, v]), "mu_to": int(mu[b, v + 1])})
-    for v in range(1, solution.V + 1):
-        for b in range(1, solution.B):
-            if mu[b, v] != mu[b + 1, v]:
-                in_b.append({"from": [b, v], "to": [b + 1, v],
-                             "mu_from": int(mu[b, v]), "mu_to": int(mu[b + 1, v])})
+    in_v = [{"from": [b, v], "to": [b, v + 1], "mu_from": f, "mu_to": t}
+            for b, v, f, t in _changes(mu[1:, 1:-1], mu[1:, 2:])]
+    in_b = [{"from": [b, v], "to": [b + 1, v], "mu_from": f, "mu_to": t}
+            for v, b, f, t in _changes(mu[1:-1, 1:].T, mu[2:, 1:].T)]
     return {"in_v": in_v, "in_b": in_b}
 
 
+def _changes(before, after) -> list[list[int]]:
+    """[i, j, before, after] (1-based) wherever two equal-shape tables
+    differ, in row-major order."""
+    at = np.argwhere(before != after)
+    i, j = at.T
+    return np.column_stack([at + 1, before[i, j], after[i, j]]).tolist()
+
+
 def cmd_solve(args) -> int:
+    if not 0 < args.tol < math.inf:
+        print("error: --tol must be positive and finite", file=sys.stderr)
+        return 1
     model = _load_model(args.config)
     solution = _solve(model, args.solver, args.tol)
     _write_atomic(args.out, solution.to_csv())

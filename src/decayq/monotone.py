@@ -118,21 +118,19 @@ def check_delta_conditions(model: ValidatedModel, solution: SolutionTable, b: in
     non-decreasing verdict; the policy row is then constant.  The conditions
     are sufficient only, so the fallback is Inconclusive.
     """
-    V = model.V
-    ge_all = True
-    le_all = True
-    for v in range(1, V):
-        lhs = solution.delta[b, v]
-        rhs = -(model.r_of(v + 1) - model.r_of(v))
-        if lhs < rhs:
-            ge_all = False
-        if lhs > rhs:
-            le_all = False
-    if ge_all:
-        return Guarantee.NON_DECREASING
-    if le_all:
-        return Guarantee.NON_INCREASING
-    return Guarantee.INCONCLUSIVE
+    return _delta_guarantees(model, solution.delta[b][None])[0]
+
+
+def _delta_guarantees(model: ValidatedModel, delta_rows: np.ndarray) -> list[Guarantee]:
+    """The Theorem-2 verdict of each row of ``delta_rows`` (rows padded with
+    the v = 0 column, as in ``SolutionTable.delta``)."""
+    rhs = -(model.r[1:] - model.r[:-1])
+    lhs = delta_rows[:, 1:model.V]
+    ge_all = ~np.any(lhs < rhs, axis=1)
+    le_all = ~np.any(lhs > rhs, axis=1)
+    return [Guarantee.NON_DECREASING if ge else
+            Guarantee.NON_INCREASING if le else Guarantee.INCONCLUSIVE
+            for ge, le in zip(ge_all.tolist(), le_all.tolist())]
 
 
 def check_constant_reward(model: ValidatedModel, b: int) -> Guarantee:
@@ -154,22 +152,21 @@ def check_constant_reward(model: ValidatedModel, b: int) -> Guarantee:
     return Guarantee.BOTH
 
 
-def _classify_row(row: np.ndarray, b: int) -> RowClass:
-    """Direction of one mu row over v = 1..V (row is 1-indexed padded)."""
-    V = len(row) - 1
-    inc = dec = None
-    for v in range(1, V):
-        if row[v + 1] > row[v] and inc is None:
-            inc = v
-        if row[v + 1] < row[v] and dec is None:
-            dec = v
-    if inc is None and dec is None:
-        return RowClass(Direction.CONSTANT)
-    if dec is None:
-        return RowClass(Direction.NON_DECREASING)
-    if inc is None:
-        return RowClass(Direction.NON_INCREASING)
-    return RowClass(Direction.MIXED, witness=((b, dec), (b, dec + 1)))
+def _classify_rows(mu: np.ndarray) -> dict[int, RowClass]:
+    """Direction of every policy row b over v = 1..V (mu is padded)."""
+    step = np.diff(mu[1:, 1:], axis=1)
+    dec = step < 0
+    out = {}
+    for b, (up, down) in enumerate(zip(np.any(step > 0, axis=1).tolist(),
+                                       np.any(dec, axis=1).tolist()), start=1):
+        if not down:
+            out[b] = RowClass(Direction.NON_DECREASING if up else Direction.CONSTANT)
+        elif not up:
+            out[b] = RowClass(Direction.NON_INCREASING)
+        else:
+            v = int(np.argmax(dec[b - 1])) + 1  # the first strict decrease
+            out[b] = RowClass(Direction.MIXED, witness=((b, v), (b, v + 1)))
+    return out
 
 
 def classify_policy(solution: SolutionTable) -> MonotonicityReport:
@@ -182,22 +179,20 @@ def classify_policy(solution: SolutionTable) -> MonotonicityReport:
     model = solution.model
     if model is None:
         raise ValueError("solution carries no model")
-    B, V = solution.B, solution.V
+    B = solution.B
     mu = solution.mu
 
     in_b = "NonDecreasing"
     in_b_witness = None
-    for v in range(1, V + 1):
-        for b in range(1, B):
-            if mu[b + 1, v] < mu[b, v]:
-                in_b = "Violated"
-                in_b_witness = ((b, v), (b + 1, v))
-                break
-        if in_b_witness:
-            break
+    # first mu(b+1, v) < mu(b, v), scanning v-major, then b
+    drops = np.argwhere((mu[2:, 1:] < mu[1:-1, 1:]).T)
+    if len(drops):
+        v, b = (drops[0] + 1).tolist()
+        in_b = "Violated"
+        in_b_witness = ((b, v), (b + 1, v))
 
-    per_b = {b: _classify_row(mu[b], b) for b in range(1, B + 1)}
-    thm2 = {b: check_delta_conditions(model, solution, b) for b in range(1, B + 1)}
+    per_b = _classify_rows(mu)
+    thm2 = dict(enumerate(_delta_guarantees(model, solution.delta[1:]), start=1))
     thm3 = None
     if np.all(model.r == model.r[0]):
         thm3 = {b: check_constant_reward(model, b) for b in range(1, B + 1)}

@@ -13,6 +13,9 @@ derives per-episode noise from the single stream ``default_rng(seed)`` by
 fixed block partition: episode i consumes stream positions
 [i*B*V, (i+1)*B*V).  The derivation depends only on (seed, episode index),
 so results are independent of execution order and bit-exactly replayable.
+The stream is drawn in chunks of whole episodes, at most 16 MiB each, one
+after another from the same generator, which gives the same numbers as
+drawing it at once while bounding memory for any n.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ __all__ = [
     "simulate_episode",
     "step",
 ]
+
+# Byte budget of one chunk of Monte Carlo noise; 4 MiB chunks ran slower.
+_NOISE_BYTES = 1 << 24
 
 
 class Event(enum.Enum):
@@ -135,19 +141,36 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
     """Total cost of each of n episodes under the block-partitioned stream.
 
     Episode i uses noise values W[i*L:(i+1)*L] of ``default_rng(seed)``
-    where L = B*V; all episodes are stepped in lockstep (vectorized), which
-    also certifies that every one of them terminates within L slots.
+    where L = B*V.  The noise is drawn in chunks of whole episodes, at most
+    ``_NOISE_BYTES`` each (or one episode), one after another from the one
+    generator: successive ``random(k)`` calls continue the stream of
+    ``random(n*L)``.  The episodes of a chunk are stepped in lockstep
+    (vectorized), which also certifies that every one of them terminates
+    within L slots.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if initial[0] == 0:
         raise ValueError("initial state must be nonterminal")
     L = model.B * model.V
-    W = np.random.default_rng(seed).random(n * L).reshape(n, L)
-    pol = policy.action_index
-    b = np.full(n, initial[0], dtype=np.int64)
-    v = np.full(n, initial[1], dtype=np.int64)
-    total = np.zeros(n)
+    rng = np.random.default_rng(seed)
+    chunk = max(1, _NOISE_BYTES // (8 * L))
+    total = np.empty(n)
+    for start in range(0, n, chunk):
+        k = min(chunk, n - start)
+        # a chunk's noise is freed before the next one is drawn
+        total[start:start + k] = _lockstep_costs(model, policy.action_index, initial,
+                                                 rng.random(k * L).reshape(k, L))
+    return total
+
+
+def _lockstep_costs(model: ValidatedModel, pol: np.ndarray,
+                    initial: tuple[int, int], W: np.ndarray) -> np.ndarray:
+    """Total cost of one episode per row of the noise block W."""
+    k, L = W.shape
+    b = np.full(k, initial[0], dtype=np.int64)
+    v = np.full(k, initial[1], dtype=np.int64)
+    total = np.zeros(k)
     for t in range(L):
         active = b > 0
         if not active.any():

@@ -100,16 +100,16 @@ class SolutionTable:
         """
         if self.model is None:
             raise ValueError("cannot export a solution without its model")
-        actions = self.model.actions
+        action_text = [repr(a) for a in self.model.actions.tolist()]
         out = io.StringIO()
         out.write("b,v,J,mu_index,mu_value,delta,sigma\n")
         for b in range(1, self.B + 1):
-            for v in range(1, self.V + 1):
-                a = int(self.mu[b, v])
-                out.write(
-                    f"{b},{v},{float(self.J[b, v])!r},{a},{float(actions[a])!r},"
-                    f"{float(self.delta[b, v])!r},{float(self.sigma[b, v])!r}\n"
-                )
+            # .tolist() gives Python floats, whose repr is that of float(np.float64)
+            rows = zip(self.J[b, 1:].tolist(), self.mu[b, 1:].tolist(),
+                       self.delta[b, 1:].tolist(), self.sigma[b, 1:].tolist())
+            out.write("".join(
+                f"{b},{v},{j!r},{a},{action_text[a]},{d!r},{sg!r}\n"
+                for v, (j, a, d, sg) in enumerate(rows, start=1)))
         out.write(f"0,{self.V},0,,,,\n")
         return out.getvalue()
 
@@ -139,13 +139,20 @@ def solution_from_csv(text: str) -> SolutionTable:
     J, delta, sigma = np.zeros((3, B + 1, V + 1))
     mu = np.zeros((B + 1, V + 1), dtype=int)
     seen = np.zeros((B + 1, V + 1), dtype=bool)
+    action_text: dict[int, str] = {}  # mu_index -> its mu_value text
     for r in body:
         b, v = int(r[0]), int(r[1])
         if b < 1 or not 1 <= v <= V or seen[b, v]:
             raise ValueError(f"state ({b}, {v}) is repeated or outside the {B}x{V} grid")
         seen[b, v] = True
+        a = int(r[3])
+        if a < 0:
+            raise ValueError(f"state ({b}, {v}) has negative mu_index {a}")
+        if action_text.setdefault(a, r[4]) != r[4]:
+            raise ValueError(f"mu_index {a} has two mu_value texts "
+                             f"{action_text[a]!r} and {r[4]!r}")
         J[b, v] = float(r[2])
-        mu[b, v] = int(r[3])
+        mu[b, v] = a
         delta[b, v] = float(r[5])
         sigma[b, v] = float(r[6])
     return SolutionTable(J=J, mu=mu, delta=delta, sigma=sigma, solver_id="csv")
@@ -187,23 +194,22 @@ def solve_recursive(model: ValidatedModel) -> SolutionTable:
     J(b, v) = J(b, v-1) + delta(b, v).
     """
     B, V = model.B, model.V
-    J = np.zeros((B + 1, V + 1))
+    s = model.actions
+    rows = np.arange(B)
     mu = np.zeros((B + 1, V + 1), dtype=int)
     delta = np.zeros((B + 1, V + 1))
     sigma = np.zeros((B + 1, V + 1))
-    for b in range(1, B + 1):
-        hb = model.h_of(b)
-        sig = 0.0
-        for v in range(1, V + 1):
-            a, m = _greedy(model, model.r_of(v) + sig)
-            d = hb + m
-            delta[b, v] = d
-            sig += d
-            sigma[b, v] = sig
-            mu[b, v] = a
-        J[b, 1] = J[b - 1, V] + delta[b, 1]
-        for v in range(2, V + 1):
-            J[b, v] = J[b, v - 1] + delta[b, v]
+    sig = np.zeros(B)  # sigma(b, v-1) of every row b
+    for v in range(1, V + 1):
+        obj = model.c - s * (model.r[v - 1] + sig)[:, None]
+        a = np.argmin(obj, axis=1)  # first occurrence = smallest action
+        d = model.h + obj[rows, a]
+        sig = sig + d
+        mu[1:, v], delta[1:, v], sigma[1:, v] = a, d, sig
+    # In b-major order J is one running sum of delta from J(0, V) = 0.  The
+    # sum starts at 0.0, not at delta(1, 1), so a -0.0 there gives J = +0.0.
+    J = np.zeros((B + 1, V + 1))
+    J[1:, 1:] = np.cumsum(np.concatenate(([0.0], delta[1:, 1:].ravel())))[1:].reshape(B, V)
     return SolutionTable(J=J, mu=mu, delta=delta, sigma=sigma,
                          solver_id="recursive", model=model)
 
@@ -319,12 +325,10 @@ def near_tie_states(solution: SolutionTable, window: float = 1e-12) -> list[tupl
     model = solution.model
     if model is None:
         raise ValueError("solution carries no model")
-    out = []
-    for b in range(1, solution.B + 1):
-        for v in range(1, solution.V + 1):
-            x = model.r_of(v) + solution.sigma[b, v - 1]
-            obj = model.c - model.actions * x
-            best = obj.min()
-            if np.sum(obj <= best + window) > 1:
-                out.append((b, v))
-    return out
+    s = model.actions
+    near = np.zeros((solution.B, solution.V), dtype=bool)
+    for v in range(1, solution.V + 1):
+        obj = model.c - s * (model.r[v - 1] + solution.sigma[1:, v - 1])[:, None]
+        best = obj.min(axis=1)
+        near[:, v - 1] = np.sum(obj <= (best + window)[:, None], axis=1) > 1
+    return [(b, v) for b, v in (np.argwhere(near) + 1).tolist()]

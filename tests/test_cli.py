@@ -70,6 +70,15 @@ class TestSolve:
         assert rc == 1
         assert "reward" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["0", "-0.5", "inf", "nan"])
+    def test_bad_tol_exits_one(self, tmp_path, config_file, capsys, tol):
+        out = tmp_path / "x.csv"
+        rc = main(["solve", "--config", config_file(FIG1A), "--solver", "vi",
+                   "--tol", tol, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --tol must be positive and finite\n"
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["solve", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "x.csv")])

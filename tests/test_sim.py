@@ -3,6 +3,7 @@ Monte Carlo averages and exact policy values."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from decayq import (
     validate,
 )
 from decayq.presets import preset_by_id
+from decayq import sim
 from decayq.sim import episode_costs
 
 
@@ -179,3 +181,31 @@ class TestMcEstimate:
             total = episode_costs(m, const_policy(m, 0), (m.B, m.V), 2000, seed=2)
             assert total.shape == (2000,)
             assert np.all(np.isfinite(total))
+
+
+class TestNoiseChunks:
+    def test_chunked_equals_one_block_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        for _ in range(20):
+            m = random_model(rng)
+            pol = PolicyTable(action_index=rng.integers(
+                0, len(m.actions), size=(m.B + 1, m.V + 1)))
+            initial, seed = (m.B, m.V), int(rng.integers(1 << 30))
+            n = int(rng.integers(1, 40))
+            monkeypatch.setattr(sim, "_NOISE_BYTES", 1 << 40)  # one chunk
+            whole = episode_costs(m, pol, initial, n, seed)
+            chunk = int(rng.integers(1, 8))  # seldom divides n
+            monkeypatch.setattr(sim, "_NOISE_BYTES", 8 * m.B * m.V * chunk + 7)
+            assert episode_costs(m, pol, initial, n, seed).tobytes() == whole.tobytes()
+
+    def test_peak_allocation_bounded_by_budget(self):
+        # 100000 episodes of 200 slots would be 160 MB of noise in one block
+        m = validate(preset_by_id("1a").config)
+        pol = solve_recursive(m).policy()
+        tracemalloc.start()
+        try:
+            episode_costs(m, pol, (m.B, m.V), 100_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * sim._NOISE_BYTES

@@ -1,14 +1,26 @@
 """Solver correctness: desk-scale oracles, cross-solver agreement, and the
 structural identities of the increment recursion."""
 
+import io
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_optimal, random_model, table_model
 from decayq import (
+    Direction,
+    Guarantee,
+    MonotonicityReport,
     PolicyTable,
+    SolutionTable,
     apply_T,
     bellman_backup,
+    check_constant_reward,
+    check_delta_conditions,
+    classify_policy,
     evaluate_policy,
     g_map,
     near_tie_states,
@@ -18,6 +30,8 @@ from decayq import (
     validate,
     value_iteration,
 )
+from decayq.cli import _boundaries
+from decayq.monotone import RowClass
 from decayq.presets import FIGURE_PRESETS, preset_by_id
 
 
@@ -271,8 +285,13 @@ class TestCsvRoundTrip:
         (lambda rows: rows[:3] + rows[2:4] + rows[-1:], r"state \(1, 2\) is repeated"),
         (lambda rows: rows[:-2] + ["2,3" + rows[-2][3:]] + rows[-1:], "outside the 2x2 grid"),
         (lambda rows: rows[:-1], "terminal row missing"),
+        (lambda rows: rows[:1] + [rows[1].replace(",0,0.3,", ",-1,0.3,")] + rows[2:],
+         r"state \(1, 1\) has negative mu_index -1"),
+        (lambda rows: rows[:3] + [rows[3].replace(",0.3,", ",0.30,")] + rows[4:],
+         "mu_index 0 has two mu_value texts '0.3' and '0.30'"),
     ], ids=["header_only", "terminal_only", "extra_field", "missing_state",
-            "duplicate_state", "state_off_grid", "no_terminal"])
+            "duplicate_state", "state_off_grid", "no_terminal", "negative_mu_index",
+            "mu_value_mismatch"])
     def test_malformed_body_rejected(self, edit, message):
         m = table_model(2, 2, [0.3, 0.7], h=[1.0, 2.0], c=[0.5, 1.5], r=[1.0, 2.0])
         rows = solve_recursive(m).to_csv().strip().split("\n")
@@ -288,3 +307,144 @@ class TestNearTieDiagnostic:
 
     def test_generic_model_has_none(self):
         assert near_tie_states(solve_recursive(fig_model("1a"))) == []
+
+
+# Bitwise oracle for the array kernels: the per-state loops they replaced,
+# kept here as references.  Hypothesis draws small models with exact ties
+# (grid actions, integer costs), non-monotone h/c tables and -0.0 entries.
+
+def reference_recursion(model):
+    B, V = model.B, model.V
+    J, delta, sigma = np.zeros((3, B + 1, V + 1))
+    mu = np.zeros((B + 1, V + 1), dtype=int)
+    for b in range(1, B + 1):
+        hb = model.h_of(b)
+        sig = 0.0
+        for v in range(1, V + 1):
+            obj = model.c - model.actions * (model.r_of(v) + sig)
+            a = int(np.argmin(obj))
+            d = hb + float(obj[a])
+            delta[b, v] = d
+            sig += d
+            sigma[b, v] = sig
+            mu[b, v] = a
+        J[b, 1] = J[b - 1, V] + delta[b, 1]
+        for v in range(2, V + 1):
+            J[b, v] = J[b, v - 1] + delta[b, v]
+    return SolutionTable(J=J, mu=mu, delta=delta, sigma=sigma,
+                         solver_id="recursive", model=model)
+
+
+def reference_csv(sol):
+    actions = sol.model.actions
+    out = io.StringIO()
+    out.write("b,v,J,mu_index,mu_value,delta,sigma\n")
+    for b in range(1, sol.B + 1):
+        for v in range(1, sol.V + 1):
+            a = int(sol.mu[b, v])
+            out.write(f"{b},{v},{float(sol.J[b, v])!r},{a},{float(actions[a])!r},"
+                      f"{float(sol.delta[b, v])!r},{float(sol.sigma[b, v])!r}\n")
+    out.write(f"0,{sol.V},0,,,,\n")
+    return out.getvalue()
+
+
+def reference_report(sol):
+    model, mu, B, V = sol.model, sol.mu, sol.B, sol.V
+    in_b_witness = next((((b, v), (b + 1, v)) for v in range(1, V + 1)
+                         for b in range(1, B) if mu[b + 1, v] < mu[b, v]), None)
+    per_b, thm2 = {}, {}
+    for b in range(1, B + 1):
+        steps = [(v, mu[b, v + 1] - mu[b, v]) for v in range(1, V)]
+        inc = next((v for v, d in steps if d > 0), None)
+        dec = next((v for v, d in steps if d < 0), None)
+        per_b[b] = (RowClass(Direction.CONSTANT) if inc is None and dec is None
+                    else RowClass(Direction.NON_DECREASING) if dec is None
+                    else RowClass(Direction.NON_INCREASING) if inc is None
+                    else RowClass(Direction.MIXED, witness=((b, dec), (b, dec + 1))))
+        pairs = [(sol.delta[b, v], -(model.r_of(v + 1) - model.r_of(v))) for v in range(1, V)]
+        thm2[b] = (Guarantee.NON_DECREASING if all(not lhs < rhs for lhs, rhs in pairs)
+                   else Guarantee.NON_INCREASING if all(not lhs > rhs for lhs, rhs in pairs)
+                   else Guarantee.INCONCLUSIVE)
+    thm3 = None
+    if np.all(model.r == model.r[0]):
+        thm3 = {b: check_constant_reward(model, b) for b in range(1, B + 1)}
+    return MonotonicityReport(
+        in_b_verdict="NonDecreasing" if in_b_witness is None else "Violated",
+        in_b_witness=in_b_witness, per_b_in_v=per_b, theorem2_per_b=thm2,
+        theorem3_per_b=thm3)
+
+
+def reference_near_ties(sol, window):
+    model, out = sol.model, []
+    for b in range(1, sol.B + 1):
+        for v in range(1, sol.V + 1):
+            obj = model.c - model.actions * (model.r_of(v) + sol.sigma[b, v - 1])
+            if np.sum(obj <= obj.min() + window) > 1:
+                out.append((b, v))
+    return out
+
+
+def reference_boundaries(sol):
+    mu = sol.mu
+    def edge(p, q):
+        return {"from": list(p), "to": list(q), "mu_from": int(mu[p]), "mu_to": int(mu[q])}
+    return {"in_v": [edge((b, v), (b, v + 1)) for b in range(1, sol.B + 1)
+                     for v in range(1, sol.V) if mu[b, v] != mu[b, v + 1]],
+            "in_b": [edge((b, v), (b + 1, v)) for v in range(1, sol.V + 1)
+                     for b in range(1, sol.B) if mu[b, v] != mu[b + 1, v]]}
+
+
+_cost = st.one_of(st.integers(-3, 3).map(float), st.just(-0.0),
+                  st.floats(-5.0, 5.0, allow_nan=False))
+_actions = st.one_of(
+    st.sets(st.integers(0, 8), min_size=1, max_size=5).map(lambda xs: [x / 8 for x in sorted(xs)]),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique=True).map(sorted))
+
+
+@st.composite
+def models(draw):
+    B, V = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    actions = draw(_actions)
+    r_entry = st.one_of(st.integers(1, 3).map(float), st.floats(0.125, 8.0))
+    r = draw(st.one_of(st.lists(r_entry, min_size=V, max_size=V), r_entry.map(lambda x: [x] * V)))
+    return table_model(B, V, actions, draw(st.lists(_cost, min_size=B, max_size=B)),
+                       draw(st.lists(_cost, min_size=len(actions), max_size=len(actions))), r)
+
+
+NEG_ZERO = table_model(2, 2, [0.0, 0.5], h=[-0.0, 1.0], c=[-0.0, 3.0], r=[1.0, 2.0])
+# in-b violations at (1, 3) and (3, 2): scan order picks the witness
+TWO_IN_B_DROPS = table_model(4, 4, [0.0, 0.5, 1.0], h=[0.0, -2.0, 3.0, -2.0],
+                             c=[1.0, 2.0, 2.0], r=[2.0, 1.0, 3.0, 2.0])
+
+
+class TestArrayKernelsMatchLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(model=models())
+    @example(model=table_model(1, 1, [0.5], h=[1.0], c=[2.0], r=[1.0]))
+    @example(model=NEG_ZERO)
+    @example(model=TWO_IN_B_DROPS)
+    def test_bitwise_equal_to_per_state_loops(self, model):
+        sol, ref = solve_recursive(model), reference_recursion(model)
+        for name in ("J", "mu", "delta", "sigma"):
+            assert getattr(sol, name).dtype == getattr(ref, name).dtype
+            assert getattr(sol, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert sol.to_csv() == reference_csv(ref)
+        assert classify_policy(sol).to_json() == reference_report(ref).to_json()
+        assert [check_delta_conditions(model, sol, b) for b in range(1, model.B + 1)] == \
+            list(reference_report(ref).theorem2_per_b.values())
+        for window in (1e-12, 0.5):
+            assert near_tie_states(sol, window) == reference_near_ties(ref, window)
+        assert json.dumps(_boundaries(sol)) == json.dumps(reference_boundaries(ref))
+
+    def test_negative_zero_increment_prints_zero(self):
+        sol = solve_recursive(NEG_ZERO)
+        assert str(sol.delta[1, 1]) == "-0.0"
+        assert sol.to_csv().split("\n")[1] == "1,1,0.0,0,0.0,-0.0,0.0"
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=models())
+    def test_csv_round_trip_exact(self, model):
+        sol = solve_recursive(model)
+        back = solution_from_csv(sol.to_csv())
+        for name in ("J", "mu", "delta", "sigma"):
+            assert getattr(back, name).tobytes() == getattr(sol, name).tobytes(), name

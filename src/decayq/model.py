@@ -33,10 +33,17 @@ __all__ = [
     "validate",
 ]
 
-COST_KINDS = ("table", "linear", "affine", "constant", "log_barrier", "log")
+# Parametric cost families: name -> (parameter count, f(params, x)).
+_FAMILIES = {
+    "linear": (1, lambda p, x: p[0] * x),
+    "affine": (2, lambda p, x: p[0] * x + p[1]),
+    "constant": (1, lambda p, x: p[0]),
+    "log_barrier": (1, lambda p, x: math.inf if x >= 1.0 else -p[0] * math.log1p(-x)),
+    "log": (1, lambda p, x: p[0] * math.log1p(x)),
+}
 
-# Arity of the params list for each parametric family.
-_PARAM_COUNT = {"linear": 1, "affine": 2, "constant": 1, "log_barrier": 1, "log": 1}
+# Largest B*V*|S|: it keeps the four float64 solver tables to about 512 MiB.
+_MAX_SIZE = 1 << 24
 
 
 class ConfigError(ValueError):
@@ -85,15 +92,15 @@ class CostSpec:
     values: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in COST_KINDS:
-            raise ConfigError(f"unknown cost kind {self.kind!r}")
         if self.kind == "table":
             if len(self.values) == 0:
                 raise ConfigError("table spec needs a non-empty values list")
             if self.params:
                 raise ConfigError("table spec takes no params")
+        elif self.kind not in _FAMILIES:
+            raise ConfigError(f"unknown cost kind {self.kind!r}")
         else:
-            want = _PARAM_COUNT[self.kind]
+            want = _FAMILIES[self.kind][0]
             if len(self.params) != want:
                 raise ConfigError(
                     f"{self.kind} spec takes {want} parameter(s), got {len(self.params)}"
@@ -103,20 +110,9 @@ class CostSpec:
 
     def evaluate(self, x: float) -> float:
         """Evaluate the family at one argument (not valid for tables)."""
-        p = self.params
-        if self.kind == "linear":
-            return p[0] * x
-        if self.kind == "affine":
-            return p[0] * x + p[1]
-        if self.kind == "constant":
-            return p[0]
-        if self.kind == "log_barrier":
-            if x >= 1.0:
-                return math.inf
-            return -p[0] * math.log1p(-x)
-        if self.kind == "log":
-            return p[0] * math.log1p(x)
-        raise ValidationError("table specs have no closed form; use materialize()")
+        if self.kind == "table":
+            raise ValidationError("table specs have no closed form; use materialize()")
+        return _FAMILIES[self.kind][1](self.params, x)
 
 
 @dataclass(frozen=True)
@@ -135,6 +131,9 @@ class ModelConfig:
             raise ConfigError(f"B must be a positive integer, got {self.B!r}")
         if not isinstance(self.V, int) or self.V < 1:
             raise ConfigError(f"V must be a positive integer, got {self.V!r}")
+        size = self.B * self.V * len(self.actions)
+        if size > _MAX_SIZE:
+            raise ConfigError(f"B*V*|S| = {size} exceeds the limit of {_MAX_SIZE} (2**24)")
 
 
 @dataclass(frozen=True)

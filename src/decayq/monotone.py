@@ -118,7 +118,13 @@ def check_delta_conditions(model: ValidatedModel, solution: SolutionTable, b: in
     non-decreasing verdict; the policy row is then constant.  The conditions
     are sufficient only, so the fallback is Inconclusive.
     """
+    _check_row(model, b)
     return _delta_guarantees(model, solution.delta[b][None])[0]
+
+
+def _check_row(model: ValidatedModel, b: int) -> None:
+    if not 1 <= b <= model.B:
+        raise ValueError(f"row b = {b} outside [1, {model.B}]")
 
 
 def _delta_guarantees(model: ValidatedModel, delta_rows: np.ndarray) -> list[Guarantee]:
@@ -140,6 +146,7 @@ def check_constant_reward(model: ValidatedModel, b: int) -> Guarantee:
     decides the in-v direction of row b: positive means non-decreasing,
     negative non-increasing, zero means both (the row is constant in v).
     """
+    _check_row(model, b)
     r = model.r
     if not np.all(r == r[0]):
         raise ValueError("constant-reward test requires a constant reward table")

@@ -7,12 +7,12 @@ to (b-1, V) when it was already at v = 1.  The stage cost is
 h(b) + c(s) - r(v)*[completed].  Every episode ends in the trapping state
 (0, V) within B*V slots.
 
-Randomness is numpy's PCG64 (stable across platforms).  ``simulate_episode``
-draws its noise sequentially from ``default_rng(seed)``.  ``mc_estimate``
+Randomness is numpy's PCG64 (stable across platforms).  ``mc_estimate``
 derives per-episode noise from the single stream ``default_rng(seed)`` by
 fixed block partition: episode i consumes stream positions
 [i*B*V, (i+1)*B*V).  The derivation depends only on (seed, episode index),
-so results are independent of execution order and bit-exactly replayable.
+so results are independent of execution order and bit-exactly replayable;
+``simulate_episode`` replays episode 0 of that stream.
 The stream is drawn in chunks of whole episodes, at most 16 MiB each, one
 after another from the same generator, which gives the same numbers as
 drawing it at once while bounding memory for any n.
@@ -104,6 +104,10 @@ def _transition(model: ValidatedModel, b, v, a, w):
     return np.where(done, b - 1, b), np.where(done, model.V, v - 1), cost, success
 
 
+def _event(success, nb, b) -> Event:
+    return Event.COMPLETED if success else Event.DECAYED if nb == b else Event.EJECTED
+
+
 def step(model: ValidatedModel, state: tuple[int, int], action_index: int,
          w: float) -> tuple[tuple[int, int], float, Event]:
     """Advance one slot.  w = s counts as a success."""
@@ -113,26 +117,44 @@ def step(model: ValidatedModel, state: tuple[int, int], action_index: int,
     if not (0.0 <= w <= 1.0):
         raise ValueError(f"noise {w!r} outside [0, 1]")
     nb, nv, cost, success = _transition(model, b, v, action_index, w)
-    event = Event.COMPLETED if success else Event.DECAYED if nb == b else Event.EJECTED
-    return (int(nb), int(nv)), float(cost), event
+    return (int(nb), int(nv)), float(cost), _event(success, nb, b)
+
+
+def _lockstep(model: ValidatedModel, pol: np.ndarray, initial: tuple[int, int],
+              W: np.ndarray):
+    """Step one episode per row of the noise block W in lockstep, yielding each
+    slot's mask of running episodes and their (b, v, action, w, next b, stage
+    cost, success); every episode must end within B*V slots."""
+    if not (1 <= initial[0] <= model.B and 1 <= initial[1] <= model.V):
+        raise ValueError(f"initial state {tuple(initial)} must be nonterminal, "
+                         f"in [1, {model.B}] x [1, {model.V}]")
+    k, L = W.shape
+    b, v = (np.full(k, x, dtype=np.int64) for x in initial)
+    for t in range(L):
+        active = b > 0
+        if not active.any():
+            break
+        ab, av, aw = b[active], v[active], W[active, t]
+        a = pol[ab, av]
+        nb, nv, cost, success = _transition(model, ab, av, a, aw)
+        yield active, (ab, av, a, aw, nb, cost, success)
+        b[active], v[active] = nb, nv
+    if (b > 0).any():
+        raise AssertionError("episode failed to terminate within B*V slots")
 
 
 def simulate_episode(model: ValidatedModel, policy: PolicyTable,
                      initial: tuple[int, int], seed) -> Trajectory:
-    """Run one episode under a fixed policy with seeded noise."""
-    if initial[0] == 0:
-        raise ValueError("initial state must be nonterminal")
-    rng = np.random.default_rng(seed)
-    state = initial
-    steps = []
-    total = 0.0
-    while state[0] > 0:
-        a = policy.s_at(*state)
-        w = float(rng.random())
-        nxt, cost, event = step(model, state, a, w)
-        steps.append(Step(state=state, action_index=a, w=w, stage_cost=cost, event=event))
+    """Run one episode under a fixed policy: episode 0 of the ``mc_estimate``
+    stream, ``default_rng(seed).random(B*V)``.  A ``Generator`` passed as
+    ``seed`` advances by B*V draws, whatever the episode's length."""
+    W = np.random.default_rng(seed).random((1, model.B * model.V))
+    steps, total = [], 0.0
+    for _, slot in _lockstep(model, policy.action_index, initial, W):
+        b, v, a, w, nb, cost, success = (x.item() for x in slot)
+        steps.append(Step(state=(b, v), action_index=a, w=w, stage_cost=cost,
+                          event=_event(success, nb, b)))
         total += cost
-        state = nxt
     return Trajectory(steps=tuple(steps), total_cost=total)
 
 
@@ -144,43 +166,20 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
     where L = B*V.  The noise is drawn in chunks of whole episodes, at most
     ``_NOISE_BYTES`` each (or one episode), one after another from the one
     generator: successive ``random(k)`` calls continue the stream of
-    ``random(n*L)``.  The episodes of a chunk are stepped in lockstep
-    (vectorized), which also certifies that every one of them terminates
-    within L slots.
+    ``random(n*L)``.  The episodes of a chunk are stepped in lockstep.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if initial[0] == 0:
-        raise ValueError("initial state must be nonterminal")
     L = model.B * model.V
     rng = np.random.default_rng(seed)
     chunk = max(1, _NOISE_BYTES // (8 * L))
-    total = np.empty(n)
+    total = np.zeros(n)
     for start in range(0, n, chunk):
-        k = min(chunk, n - start)
-        # a chunk's noise is freed before the next one is drawn
-        total[start:start + k] = _lockstep_costs(model, policy.action_index, initial,
-                                                 rng.random(k * L).reshape(k, L))
-    return total
-
-
-def _lockstep_costs(model: ValidatedModel, pol: np.ndarray,
-                    initial: tuple[int, int], W: np.ndarray) -> np.ndarray:
-    """Total cost of one episode per row of the noise block W."""
-    k, L = W.shape
-    b = np.full(k, initial[0], dtype=np.int64)
-    v = np.full(k, initial[1], dtype=np.int64)
-    total = np.zeros(k)
-    for t in range(L):
-        active = b > 0
-        if not active.any():
-            break
-        ab, av = b[active], v[active]
-        nb, nv, cost, _ = _transition(model, ab, av, pol[ab, av], W[active, t])
-        total[active] += cost
-        b[active], v[active] = nb, nv
-    if (b > 0).any():
-        raise AssertionError("episode failed to terminate within B*V slots")
+        view = total[start:start + chunk]  # the last chunk may be shorter
+        # only the generator holds a chunk's noise, so it is freed before the next draw
+        for active, (*_, cost, _) in _lockstep(model, policy.action_index, initial,
+                                               rng.random(view.size * L).reshape(-1, L)):
+            view[active] += cost
     return total
 
 

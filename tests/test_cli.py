@@ -86,6 +86,12 @@ class TestSolve:
 
 
 class TestCheck:
+    def test_config_over_size_limit_exits_one(self, config_file, capsys):
+        rc = main(["check", "--config", config_file(dict(FIG1A, B=100_000, V=100_000))])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "limit" in err
+
     def test_fig1b_nonincreasing_exit_zero(self, config_file, capsys):
         rc = main(["check", "--config", config_file(FIG1B)])
         assert rc == 0

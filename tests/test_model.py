@@ -84,6 +84,22 @@ class TestLoadConfig:
             load_config(json.dumps(doc))
 
 
+class TestSizeLimit:
+    def config(self, B, V, n_actions):
+        spec = CostSpec("constant", params=(1.0,))
+        actions = ActionSet(tuple(np.linspace(0.1, 0.9, n_actions).tolist()))
+        return ModelConfig(B=B, V=V, actions=actions, holding=spec,
+                           service_cost=spec, reward=spec)
+
+    def test_exactly_at_limit_accepted(self):
+        assert self.config(2**12, 2**12, 1).B == 2**12  # B*V*|S| = 2**24
+
+    @pytest.mark.parametrize("B, V, n_actions", [(2**12 + 1, 2**12, 1), (2**12, 2**12, 2)])
+    def test_over_limit_rejected(self, B, V, n_actions):
+        with pytest.raises(ConfigError, match="limit"):
+            self.config(B, V, n_actions)
+
+
 class TestMaterialize:
     def test_log_barrier_over_actions(self):
         actions = ActionSet((0.1, 0.5, 0.9))

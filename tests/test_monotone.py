@@ -41,6 +41,12 @@ class TestDeltaConditions:
         sol = fig_solution("1d")
         assert check_delta_conditions(sol.model, sol, 5) is Guarantee.INCONCLUSIVE
 
+    @pytest.mark.parametrize("b", [0, -1, 3])
+    def test_row_outside_1_to_B_rejected(self, b):
+        m = table_model(2, 2, [0.3], h=[1.0, 2.0], c=[0.5], r=[1.0, 2.0])
+        with pytest.raises(ValueError, match="outside"):
+            check_delta_conditions(m, solve_recursive(m), b)
+
 
 class TestConstantReward:
     def test_positive_q(self):
@@ -69,6 +75,12 @@ class TestConstantReward:
         m = table_model(1, 2, [0.5], h=[1.0], c=[0.5], r=[1.0, 2.0])
         with pytest.raises(ValueError, match="constant"):
             check_constant_reward(m, 1)
+
+    @pytest.mark.parametrize("b", [0, -1, 3])
+    def test_row_outside_1_to_B_rejected(self, b):
+        m = table_model(2, 2, [0.5], h=[1.0, 2.0], c=[0.5], r=[1.0, 1.0])
+        with pytest.raises(ValueError, match="outside"):
+            check_constant_reward(m, b)
 
 
 class TestClassifyPolicy:

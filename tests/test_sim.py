@@ -7,11 +7,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_model, table_model
 from decayq import (
     Event,
     PolicyTable,
+    Trajectory,
     evaluate_policy,
     mc_estimate,
     simulate_episode,
@@ -21,11 +24,33 @@ from decayq import (
 )
 from decayq.presets import preset_by_id
 from decayq import sim
-from decayq.sim import episode_costs
+from decayq.sim import Step, episode_costs
 
 
 def const_policy(model, index):
     return PolicyTable(action_index=np.full((model.B + 1, model.V + 1), index, dtype=int))
+
+
+def reference_episode(model, policy, initial, seed):
+    """Reference for ``simulate_episode``: a scalar loop over public ``step``,
+    one ``rng.random()`` a draw."""
+    rng = np.random.default_rng(seed)
+    state, steps, total = initial, [], 0.0
+    while state[0] > 0:
+        a = policy.s_at(*state)
+        w = float(rng.random())
+        nxt, cost, event = step(model, state, a, w)
+        steps.append(Step(state=state, action_index=a, w=w, stage_cost=cost, event=event))
+        total += cost
+        state = nxt
+    return Trajectory(steps=tuple(steps), total_cost=total)
+
+
+def typed_fields(traj):
+    """Every Step field and the total, each with its type and exact repr."""
+    return [(type(x), repr(x)) for st_ in traj.steps
+            for x in (*st_.state, st_.action_index, st_.w, st_.stage_cost, st_.event)
+            ] + [(type(traj.total_cost), repr(traj.total_cost))]
 
 
 class TestStep:
@@ -108,6 +133,23 @@ class TestSimulateEpisode:
             traj = simulate_episode(m, pol, initial, seed)
             assert traj.total_cost == episode_costs(m, pol, initial, 1, seed)[0]
 
+    @settings(max_examples=200, deadline=None)
+    @given(B=st.integers(1, 6), V=st.integers(1, 6), k=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    @example(B=1, V=1, k=1, seed=0)
+    def test_matches_scalar_reference_loop(self, B, V, k, seed):
+        rng = np.random.default_rng(seed)
+        actions = np.unique(rng.uniform(0.0, 1.0, size=k))
+        m = table_model(B, V, actions, h=rng.uniform(0.0, 3.0, size=B),
+                        c=rng.uniform(0.0, 3.0, size=len(actions)),
+                        r=rng.uniform(0.1, 3.0, size=V))
+        pol = PolicyTable(action_index=rng.integers(0, len(actions), size=(B + 1, V + 1)))
+        initial = (int(rng.integers(1, B + 1)), int(rng.integers(1, V + 1)))
+        ref = reference_episode(m, pol, initial, seed)
+        traj = simulate_episode(m, pol, initial, seed)
+        assert typed_fields(traj) == typed_fields(ref)
+        assert traj.to_jsonl() == ref.to_jsonl()
+
     def test_jsonl_export(self):
         m = table_model(1, 2, [0.0], h=[1.0], c=[0.0], r=[1.0, 1.0])
         traj = simulate_episode(m, const_policy(m, 0), (1, 2), seed=0)
@@ -116,6 +158,19 @@ class TestSimulateEpisode:
         first = json.loads(lines[0])
         assert set(first) == {"t", "b", "v", "s", "w", "cost", "event"}
         assert first["t"] == 0 and first["b"] == 1 and first["v"] == 2
+
+
+@pytest.mark.parametrize("run", [
+    lambda m, pol, initial: simulate_episode(m, pol, initial, seed=0),
+    lambda m, pol, initial: episode_costs(m, pol, initial, 5, seed=0),
+    lambda m, pol, initial: mc_estimate(m, pol, initial, 5, seed=0),
+], ids=["simulate_episode", "episode_costs", "mc_estimate"])
+@pytest.mark.parametrize("initial", [(0, 3), (-1, 3), (3, 1), (1, 0), (1, 4)],
+                         ids=["b=0", "b=-1", "b=B+1", "v=0", "v=V+1"])
+def test_initial_state_off_the_grid_rejected(run, initial):
+    m = table_model(2, 3, [0.5], h=[1.0, 2.0], c=[0.5], r=[1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="nonterminal"):
+        run(m, const_policy(m, 0), initial)
 
 
 class TestMcEstimate:

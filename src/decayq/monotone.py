@@ -224,19 +224,13 @@ def check_submodular(model: ValidatedModel, x_grid: list[float]) -> Submodularit
     """
     if len(x_grid) == 0:
         raise ValueError("x_grid must be non-empty")
-    s = model.actions
-    c = model.c
-    xs = sorted(set(x_grid))
-    worst = None
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            for a in range(len(xs)):
-                for bb in range(a + 1, len(xs)):
-                    xlo, xhi = xs[a], xs[bb]
-                    lhs = (c[j] - s[j] * xhi) + (c[i] - s[i] * xlo)
-                    rhs = (c[j] - s[j] * xlo) + (c[i] - s[i] * xhi)
-                    margin = lhs - rhs
-                    if worst is None or margin > worst:
-                        worst = margin
-    worst = 0.0 if worst is None else worst
-    return SubmodularityResult(passed=worst <= 1e-12, worst_margin=float(worst))
+    if not np.all(np.isfinite(x_grid)):
+        raise ValueError("x_grid entries must be finite")
+    x = np.array(sorted(set(x_grid)), dtype=float)
+    f = model.c[:, None] - model.actions[:, None] * x  # f[i, a] = c(s_i) - s_i*x_a
+    lo, hi = np.triu_indices(len(model.actions), 1)  # action pairs s- < s+
+    xlo, xhi = np.triu_indices(len(x), 1)  # grid pairs x- < x+
+    lhs = f[hi][:, xhi] + f[lo][:, xlo]
+    rhs = f[hi][:, xlo] + f[lo][:, xhi]
+    worst = float((lhs - rhs).max()) if lhs.size else 0.0
+    return SubmodularityResult(passed=worst <= 1e-12, worst_margin=worst)

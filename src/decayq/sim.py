@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ValidatedModel
-from .solver import PolicyTable
+from .solver import PolicyTable, _check_policy
 
 __all__ = [
     "EstimateResult",
@@ -108,14 +108,22 @@ def _event(success, nb, b) -> Event:
     return Event.COMPLETED if success else Event.DECAYED if nb == b else Event.EJECTED
 
 
+def _check_state(model: ValidatedModel, state: tuple[int, int]) -> None:
+    if not (1 <= state[0] <= model.B and 1 <= state[1] <= model.V):
+        raise ValueError(f"state {tuple(state)} must be nonterminal, "
+                         f"in [1, {model.B}] x [1, {model.V}]")
+
+
 def step(model: ValidatedModel, state: tuple[int, int], action_index: int,
          w: float) -> tuple[tuple[int, int], float, Event]:
     """Advance one slot.  w = s counts as a success."""
+    _check_state(model, state)
     b, v = state
-    if b == 0:
-        raise ValueError("cannot step from the terminal state")
     if not (0.0 <= w <= 1.0):
         raise ValueError(f"noise {w!r} outside [0, 1]")
+    k = len(model.actions)
+    if not (isinstance(action_index, (int, np.integer)) and 0 <= action_index < k):
+        raise ValueError(f"action index {action_index!r} is not an integer in [0, {k})")
     nb, nv, cost, success = _transition(model, b, v, action_index, w)
     return (int(nb), int(nv)), float(cost), _event(success, nb, b)
 
@@ -125,9 +133,8 @@ def _lockstep(model: ValidatedModel, pol: np.ndarray, initial: tuple[int, int],
     """Step one episode per row of the noise block W in lockstep, yielding each
     slot's mask of running episodes and their (b, v, action, w, next b, stage
     cost, success); every episode must end within B*V slots."""
-    if not (1 <= initial[0] <= model.B and 1 <= initial[1] <= model.V):
-        raise ValueError(f"initial state {tuple(initial)} must be nonterminal, "
-                         f"in [1, {model.B}] x [1, {model.V}]")
+    _check_state(model, initial)
+    _check_policy(model, pol)
     k, L = W.shape
     b, v = (np.full(k, x, dtype=np.int64) for x in initial)
     for t in range(L):

@@ -11,7 +11,12 @@ optimal policy mu:
 
 Both iterations are built on one backward pass in (b, v) ascending order,
 exact in one sweep since (b, v) leads only to (b, v-1) or (b-1, V); VI still
-counts one exact sweep plus one that certifies convergence.
+counts one exact sweep plus one that certifies convergence.  The pass does
+its numpy arithmetic once per row b, not per state: one array holds the part
+(c(s) + h(b)) + s*(J(b-1, V) - r(v)) of every action value for every v, a
+chain over v on Python floats adds (1-s)*J(b, v-1), and one argmin over the
+row gives the greedy policy.  These are the float operations of a single
+backup in the same order, so the pass is bitwise a state-by-state sweep.
 
 Every solver returns the same ``SolutionTable`` contract, including the
 increment tables delta and sigma (reconstructed from J differences when not
@@ -214,21 +219,41 @@ def solve_recursive(model: ValidatedModel) -> SolutionTable:
                          solver_id="recursive", model=model)
 
 
+def _row_base(model: ValidatedModel, b: int, down, r) -> np.ndarray:
+    """The continuation-free part of the action values in row b, one row per
+    entry of r: (c(s) + h(b)) + s*(down - r), with down = J(b-1, V)."""
+    return (model.c + model.h_of(b)) + model.actions * (down - r)[:, None]
+
+
 def _action_values(model: ValidatedModel, J: np.ndarray, b: int, v: int) -> np.ndarray:
     """Expected cost of every action at (b, v): success moves to (b-1, V);
     failure decays to (b, v-1), or ejects to (b-1, V) when v = 1."""
-    s = model.actions
     down = J[b - 1, model.V]
     cont = J[b, v - 1] if v > 1 else down
-    return model.c + model.h_of(b) + s * (down - model.r_of(v)) + (1.0 - s) * cont
+    return _row_base(model, b, down, model.r[v - 1:v])[0] + (1.0 - model.actions) * cont
 
 
 def bellman_backup(model: ValidatedModel, J: np.ndarray, b: int, v: int) -> tuple[float, int]:
     """One Bellman backup at (b, v) against the given J table: the minimal
     cost over actions and the smallest minimizing action index."""
+    if not (1 <= b <= model.B and 1 <= v <= model.V):
+        raise ValueError(f"state ({b}, {v}) outside [1, {model.B}] x [1, {model.V}]")
     vals = _action_values(model, J, b, v)
     a = int(np.argmin(vals))
     return float(vals[a]), a
+
+
+def _check_policy(model: ValidatedModel, action_index: np.ndarray) -> None:
+    """Reject a policy table unless it is an integer (B+1, V+1) array with an
+    index in [0, |S|) at every nonterminal state (row 0 and column 0 are
+    never read)."""
+    k, shape = len(model.actions), (model.B + 1, model.V + 1)
+    a = np.asarray(action_index)
+    if a.shape != shape or a.dtype.kind not in "iu":
+        raise ValueError(f"policy table must be an integer array of shape {shape}, "
+                         f"not {a.dtype} of shape {a.shape}")
+    if not (0 <= a[1:, 1:].min() and a[1:, 1:].max() < k):
+        raise ValueError(f"policy action index outside [0, {k})")
 
 
 def _backward_pass(model: ValidatedModel, J: np.ndarray,
@@ -236,16 +261,32 @@ def _backward_pass(model: ValidatedModel, J: np.ndarray,
     """One in-place sweep in DAG order (b, then v, ascending), setting J[b, v]
     to the greedy minimum or to the value of action ``fixed[b, v]``.  Each
     state reads only (b, v-1) and (b-1, V), already final, so one pass is
-    exact.  Returns the sup-norm change of J and the greedy policy."""
+    exact.  Returns the sup-norm change of J and the greedy policy.  The
+    float operations are those of ``_action_values``, in its order."""
+    V = model.V
+    keep_arr = 1.0 - model.actions
+    keep = keep_arr.tolist()
     mu = np.zeros(J.shape, dtype=int)
     residual = 0.0
     for b in range(1, model.B + 1):
-        for v in range(1, model.V + 1):
-            vals = _action_values(model, J, b, v)
-            mu[b, v] = a = int(np.argmin(vals))
-            new = float(vals[a if fixed is None else fixed[b, v]])
-            residual = max(residual, abs(new - J[b, v]))
-            J[b, v] = new
+        down = J[b - 1, V].item()
+        base = _row_base(model, b, down, model.r)
+        row = J[b].tolist()  # row[0] is padding and is written back unchanged
+        chosen = None if fixed is None else fixed[b].tolist()
+        cont = down
+        for v, x in enumerate(base, start=1):
+            x = x.tolist()  # one v at a time: all V x |S| as Python floats could be huge
+            if chosen is None:
+                new = min([xs + k * cont for xs, k in zip(x, keep)])  # first minimum
+            else:
+                a = chosen[v]
+                new = x[a] + keep[a] * cont
+            residual = max(residual, abs(new - row[v]))
+            row[v] = cont = new
+        J[b] = row
+        # the chain's values again, for every v at once; argmin takes the first minimum
+        base += keep_arr * np.array([down] + row[1:V])[:, None]
+        mu[b, 1:] = np.argmin(base, axis=1)
     return residual, mu
 
 
@@ -270,8 +311,9 @@ def value_iteration(model: ValidatedModel, tol: float = 1e-9,
         raise ValueError("tol must be positive and finite")
     if max_sweeps is None:
         max_sweeps = model.B * model.V + 1
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
+    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, (int, np.integer)) \
+            or max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be an int >= 1, not {max_sweeps!r}")
     J = np.zeros((model.B + 1, model.V + 1))
     residual = np.inf
     sweeps = 0
@@ -289,6 +331,7 @@ def value_iteration(model: ValidatedModel, tol: float = 1e-9,
 
 def evaluate_policy(model: ValidatedModel, policy: PolicyTable) -> np.ndarray:
     """Exact expected total cost of a fixed policy: one backward pass."""
+    _check_policy(model, policy.action_index)
     J = np.zeros((model.B + 1, model.V + 1))
     _backward_pass(model, J, fixed=policy.action_index)
     return J

@@ -22,11 +22,15 @@ def table_model(B, V, actions, h, c, r) -> ValidatedModel:
 
 
 def random_model(rng: np.random.Generator, max_B=6, max_V=6, max_actions=4,
-                 constant_reward=False) -> ValidatedModel:
-    """Random instance with non-decreasing h/c/r tables and r > 0."""
-    B = int(rng.integers(1, max_B + 1))
-    V = int(rng.integers(1, max_V + 1))
-    k = int(rng.integers(1, max_actions + 1))
+                 constant_reward=False, shape=None) -> ValidatedModel:
+    """Random instance with non-decreasing h/c/r tables and r > 0; ``shape``
+    fixes (B, V, |S|) instead of drawing them up to the maxima."""
+    if shape is None:
+        B = int(rng.integers(1, max_B + 1))
+        V = int(rng.integers(1, max_V + 1))
+        k = int(rng.integers(1, max_actions + 1))
+    else:
+        B, V, k = shape
     actions = np.sort(rng.uniform(0.0, 1.0, size=k))
     while len(np.unique(actions)) < k:
         actions = np.sort(rng.uniform(0.0, 1.0, size=k))

@@ -141,6 +141,16 @@ class TestSubmodularity:
         res = check_submodular(m, [-1.0, 1.0])
         assert res.passed and res.worst_margin == -2.0
 
+    @pytest.mark.parametrize("grid", [[0.0, float("inf")], [float("nan"), 1.0], [-float("inf")]])
+    def test_non_finite_grid_rejected(self, grid):
+        m = table_model(1, 1, [0.0, 1.0], h=[0.0], c=[0.0, 0.0], r=[1.0])
+        with pytest.raises(ValueError, match="finite"):
+            check_submodular(m, grid)
+
+    def test_passed_is_a_python_bool(self):
+        m = table_model(1, 1, [0.0, 1.0], h=[0.0], c=[0.0, 0.0], r=[1.0])
+        assert type(check_submodular(m, [-1.0, 1.0]).passed) is bool
+
     def test_margin_is_closed_form(self):
         # difference must equal (s+ - s-)(x- - x+) to machine precision
         rng = np.random.default_rng(67)

@@ -74,6 +74,18 @@ class TestStep:
         _, _, event = step(m, (1, 2), 0, 0.5)
         assert event is Event.COMPLETED
 
+    @pytest.mark.parametrize("state", [(-1, 2), (4, 1), (1, 0), (1, 3)])
+    def test_state_off_the_grid_rejected(self, state):
+        m = table_model(3, 2, [0.5], h=[1.0, 2.0, 3.0], c=[0.5], r=[1.0, 2.0])
+        with pytest.raises(ValueError, match="nonterminal"):
+            step(m, state, 0, 0.0)
+
+    @pytest.mark.parametrize("index", [-1, 2, 1.0])
+    def test_action_index_out_of_range_rejected(self, index):
+        m = table_model(3, 2, [0.25, 0.5], h=[1.0, 2.0, 3.0], c=[0.5, 1.0], r=[1.0, 2.0])
+        with pytest.raises(ValueError, match="action index"):
+            step(m, (3, 2), index, 0.5)
+
     def test_terminal_state_rejected(self):
         m = table_model(1, 2, [0.5], h=[0.0], c=[0.0], r=[1.0, 2.0])
         with pytest.raises(ValueError, match="terminal"):
@@ -171,6 +183,25 @@ def test_initial_state_off_the_grid_rejected(run, initial):
     m = table_model(2, 3, [0.5], h=[1.0, 2.0], c=[0.5], r=[1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="nonterminal"):
         run(m, const_policy(m, 0), initial)
+
+
+@pytest.mark.parametrize("run", [
+    lambda m, pol: evaluate_policy(m, pol),
+    lambda m, pol: simulate_episode(m, pol, (m.B, m.V), seed=0),
+    lambda m, pol: episode_costs(m, pol, (m.B, m.V), 5, seed=0),
+    lambda m, pol: mc_estimate(m, pol, (m.B, m.V), 5, seed=0),
+], ids=["evaluate_policy", "simulate_episode", "episode_costs", "mc_estimate"])
+@pytest.mark.parametrize("table", [
+    np.full((3, 4), -1), np.full((3, 4), 2), np.full((3, 4), 1.0),
+    np.zeros((3, 3), dtype=int), np.zeros((4, 4), dtype=int), np.zeros(12, dtype=int),
+], ids=["a=-1", "a=|S|", "float", "V short", "B long", "flat"])
+def test_malformed_policy_rejected(run, table):
+    m = table_model(2, 3, [0.25, 0.5], h=[1.0, 2.0], c=[0.5, 1.0], r=[1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="policy"):
+        run(m, PolicyTable(action_index=table))
+    padded = np.full((3, 4), -1)  # row 0 and column 0 are never read
+    padded[1:, 1:] = 1
+    run(m, PolicyTable(action_index=padded))
 
 
 class TestMcEstimate:

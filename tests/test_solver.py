@@ -33,6 +33,7 @@ from decayq import (
 from decayq.cli import _boundaries
 from decayq.monotone import RowClass
 from decayq.presets import FIGURE_PRESETS, preset_by_id
+from decayq.solver import _backward_pass
 
 
 def fig_model(preset_id):
@@ -137,6 +138,12 @@ class TestBellmanBackup:
             for v in range(1, m.V + 1):
                 assert bellman_backup(m, J, b, v)[1] == 0
 
+    @pytest.mark.parametrize("state", [(0, 1), (-1, 2), (3, 1), (1, 0), (1, 3)])
+    def test_state_off_the_grid_rejected(self, state):
+        m = table_model(2, 2, [0.0, 0.5], h=[1.0, 2.0], c=[0.0, 1.0], r=[1.0, 2.0])
+        with pytest.raises(ValueError, match="outside"):
+            bellman_backup(m, np.zeros((3, 3)), *state)
+
     def test_fixed_point_of_recursive_solution(self):
         m = fig_model("1b")
         sol = solve_recursive(m)
@@ -178,6 +185,14 @@ class TestValueIteration:
             value_iteration(m, tol=float("inf"))
         with pytest.raises(ValueError):
             value_iteration(m, max_sweeps=0)
+
+    @pytest.mark.parametrize("max_sweeps", [True, 2.0, "2", np.True_])
+    def test_max_sweeps_must_be_an_int(self, max_sweeps):
+        with pytest.raises(ValueError, match="max_sweeps"):
+            value_iteration(fig_model("1a"), max_sweeps=max_sweeps)
+
+    def test_max_sweeps_accepts_numpy_int(self):
+        assert value_iteration(fig_model("1a"), max_sweeps=np.int64(2)).sweeps == 2
 
 
 class TestPolicyIteration:
@@ -411,6 +426,45 @@ def models(draw):
                        draw(st.lists(_cost, min_size=len(actions), max_size=len(actions))), r)
 
 
+def reference_backward_pass(model, J, fixed=None):
+    """The per-state pass the row kernel replaced: numpy action values at
+    every state, grouped ((c + h) + s*(down - r)) + (1-s)*cont."""
+    s = model.actions
+    mu = np.zeros(J.shape, dtype=int)
+    residual = 0.0
+    for b in range(1, model.B + 1):
+        for v in range(1, model.V + 1):
+            down = J[b - 1, model.V]
+            cont = J[b, v - 1] if v > 1 else down
+            vals = model.c + model.h_of(b) + s * (down - model.r_of(v)) + (1.0 - s) * cont
+            mu[b, v] = a = int(np.argmin(vals))
+            new = float(vals[a if fixed is None else fixed[b, v]])
+            residual = max(residual, abs(new - J[b, v]))
+            J[b, v] = new
+    return residual, mu
+
+
+def assert_passes_bitwise_equal(model, J0, fixed=None):
+    """Two passes of each kernel from J0 (the second starts from a solved J,
+    as in value iteration's certifying sweep): J, mu and residual byte-equal."""
+    J, ref_J = J0.copy(), J0.copy()
+    for _ in range(2):
+        residual, mu = _backward_pass(model, J, fixed)
+        ref_residual, ref_mu = reference_backward_pass(model, ref_J, fixed)
+        assert J.tobytes() == ref_J.tobytes()
+        assert mu.dtype == ref_mu.dtype and mu.tobytes() == ref_mu.tobytes()
+        assert np.float64(residual).tobytes() == np.float64(ref_residual).tobytes()
+
+
+def assert_backups_reproduce(model, sol):
+    """``bellman_backup`` against the solved J gives every state's J and mu."""
+    for b in range(1, model.B + 1):
+        for v in range(1, model.V + 1):
+            value, a = bellman_backup(model, sol.J, b, v)
+            assert np.float64(value).tobytes() == sol.J[b, v].tobytes(), (b, v)
+            assert a == sol.mu[b, v], (b, v)
+
+
 NEG_ZERO = table_model(2, 2, [0.0, 0.5], h=[-0.0, 1.0], c=[-0.0, 3.0], r=[1.0, 2.0])
 # in-b violations at (1, 3) and (3, 2): scan order picks the witness
 TWO_IN_B_DROPS = table_model(4, 4, [0.0, 0.5, 1.0], h=[0.0, -2.0, 3.0, -2.0],
@@ -435,6 +489,28 @@ class TestArrayKernelsMatchLoops:
         for window in (1e-12, 0.5):
             assert near_tie_states(sol, window) == reference_near_ties(ref, window)
         assert json.dumps(_boundaries(sol)) == json.dumps(reference_boundaries(ref))
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=models(), seed=st.integers(0, 2**32 - 1))
+    @example(model=table_model(1, 1, [0.5], h=[1.0], c=[2.0], r=[1.0]), seed=0)
+    @example(model=NEG_ZERO, seed=0)
+    @example(model=TWO_IN_B_DROPS, seed=1)
+    def test_backward_pass_bitwise_equal_to_per_state_pass(self, model, seed):
+        rng = np.random.default_rng(seed)
+        fixed = rng.integers(0, len(model.actions), size=(model.B + 1, model.V + 1))
+        start = rng.normal(size=fixed.shape)  # padding and terminal entries too
+        for J0 in (np.zeros(fixed.shape), start):
+            assert_passes_bitwise_equal(model, J0)
+            assert_passes_bitwise_equal(model, J0, fixed)
+        assert_backups_reproduce(model, value_iteration(model))
+
+    def test_backward_pass_at_benchmark_scale(self):
+        rng = np.random.default_rng(83)
+        model = random_model(rng, shape=(60, 40, 8))
+        fixed = rng.integers(0, 8, size=(61, 41))
+        assert_passes_bitwise_equal(model, np.zeros((61, 41)))
+        assert_passes_bitwise_equal(model, np.zeros((61, 41)), fixed)
+        assert_backups_reproduce(model, value_iteration(model))
 
     def test_negative_zero_increment_prints_zero(self):
         sol = solve_recursive(NEG_ZERO)

@@ -27,7 +27,13 @@ from .presets import FIGURE_PRESETS, check_regime
 from .sim import mc_estimate
 from .solver import SolutionTable, policy_iteration, solve_recursive, value_iteration
 
-_SOLVERS = {"recursive", "vi", "pi"}
+# --solver name -> (solve(model, tol), stdout label of solution.sweeps).  Each
+# lambda looks its solver up at call time, so wrappers set on these names run.
+_SOLVERS = {
+    "recursive": (lambda model, tol: solve_recursive(model), None),
+    "vi": (lambda model, tol: value_iteration(model, tol=tol), "sweeps"),
+    "pi": (lambda model, tol: policy_iteration(model), "iterations"),
+}
 
 
 def _load_model(path: str) -> ValidatedModel:
@@ -37,16 +43,6 @@ def _load_model(path: str) -> ValidatedModel:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return validate(load_config(text))
-
-
-def _solve(model: ValidatedModel, solver: str, tol: float) -> SolutionTable:
-    if solver == "recursive":
-        return solve_recursive(model)
-    if solver == "vi":
-        return value_iteration(model, tol=tol)
-    if solver == "pi":
-        return policy_iteration(model)
-    raise ValueError(f"unknown solver {solver!r}")
 
 
 def _write_atomic(path: str, data: str):
@@ -90,15 +86,14 @@ def cmd_solve(args) -> int:
         print("error: --tol must be positive and finite", file=sys.stderr)
         return 1
     model = _load_model(args.config)
-    solution = _solve(model, args.solver, args.tol)
+    solve, counter = _SOLVERS[args.solver]
+    solution = solve(model, args.tol)
     _write_atomic(args.out, solution.to_csv())
     B, V = model.B, model.V
     print(f"solver: {solution.solver_id}")
     print(f"states: {B * V + 1}  actions: {len(model.actions)}")
-    if solution.solver_id == "value_iteration":
-        print(f"sweeps: {solution.sweeps}")
-    elif solution.solver_id == "policy_iteration":
-        print(f"iterations: {solution.sweeps}")
+    if counter:
+        print(f"{counter}: {solution.sweeps}")
     print(f"J({B},{V}) = {float(solution.J[B, V])!r}")
     return 0
 

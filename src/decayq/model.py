@@ -127,10 +127,9 @@ class ModelConfig:
     reward: CostSpec
 
     def __post_init__(self):
-        if not isinstance(self.B, int) or self.B < 1:
-            raise ConfigError(f"B must be a positive integer, got {self.B!r}")
-        if not isinstance(self.V, int) or self.V < 1:
-            raise ConfigError(f"V must be a positive integer, got {self.V!r}")
+        for key, x in (("B", self.B), ("V", self.V)):
+            if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+                raise ConfigError(f"{key} must be a positive integer, got {x!r}")
         size = self.B * self.V * len(self.actions)
         if size > _MAX_SIZE:
             raise ConfigError(f"B*V*|S| = {size} exceeds the limit of {_MAX_SIZE} (2**24)")
@@ -268,18 +267,20 @@ def _parse_cost_spec(obj, field: str) -> CostSpec:
     if extra:
         raise ConfigError(f"{field}: unknown key(s) {sorted(extra)}")
     if kind == "table":
-        values = obj.get("values")
-        if not isinstance(values, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in values
-        ):
-            raise ConfigError(f"{field}: 'values' must be a list of numbers")
-        return CostSpec(kind=kind, values=tuple(float(x) for x in values))
-    params = obj.get("params", [])
-    if not isinstance(params, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in params
+        return CostSpec(kind=kind, values=_numbers(
+            obj.get("values"), f"{field}: 'values' must be a list of numbers"))
+    return CostSpec(kind=kind, params=_numbers(
+        obj.get("params", []), f"{field}: 'params' must be a list of numbers"))
+
+
+def _numbers(x, message: str) -> tuple[float, ...]:
+    """A JSON list of numbers (bools excluded) as floats; ConfigError(message)
+    for anything else."""
+    if not isinstance(x, list) or not all(
+        isinstance(e, (int, float)) and not isinstance(e, bool) for e in x
     ):
-        raise ConfigError(f"{field}: 'params' must be a list of numbers")
-    return CostSpec(kind=kind, params=tuple(float(x) for x in params))
+        raise ConfigError(message)
+    return tuple(float(e) for e in x)
 
 
 def load_config(text: str) -> ModelConfig:
@@ -301,18 +302,10 @@ def load_config(text: str) -> ModelConfig:
     extra = set(doc) - _TOP_KEYS
     if extra:
         raise ConfigError(f"unknown key(s) {sorted(extra)}")
-    for key in ("B", "V"):
-        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
-            raise ConfigError(f"{key} must be an integer")
-    raw_actions = doc["actions"]
-    if not isinstance(raw_actions, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw_actions
-    ):
-        raise ConfigError("actions must be an array of numbers")
     return ModelConfig(
         B=doc["B"],
         V=doc["V"],
-        actions=ActionSet(tuple(float(x) for x in raw_actions)),
+        actions=ActionSet(_numbers(doc["actions"], "actions must be an array of numbers")),
         holding=_parse_cost_spec(doc["holding"], "holding"),
         service_cost=_parse_cost_spec(doc["service_cost"], "service_cost"),
         reward=_parse_cost_spec(doc["reward"], "reward"),

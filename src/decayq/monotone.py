@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ValidatedModel
-from .solver import SolutionTable
+from .solver import SolutionTable, _objective
 
 __all__ = [
     "Direction",
@@ -147,16 +147,21 @@ def check_constant_reward(model: ValidatedModel, b: int) -> Guarantee:
     negative non-increasing, zero means both (the row is constant in v).
     """
     _check_row(model, b)
+    verdicts = _constant_reward_guarantees(model)
+    if verdicts is None:
+        raise ValueError("constant-reward test requires a constant reward table")
+    return verdicts[b - 1]
+
+
+def _constant_reward_guarantees(model: ValidatedModel) -> list[Guarantee] | None:
+    """The Theorem-3 verdict of every row b, or None unless r is constant."""
     r = model.r
     if not np.all(r == r[0]):
-        raise ValueError("constant-reward test requires a constant reward table")
-    rbar = float(r[0])
-    q = model.h_of(b) + float(np.min(model.c - model.actions * rbar))
-    if q > 0.0:
-        return Guarantee.NON_DECREASING
-    if q < 0.0:
-        return Guarantee.NON_INCREASING
-    return Guarantee.BOTH
+        return None
+    q = model.h + float(np.min(_objective(model, r[0])))
+    return [Guarantee.NON_DECREASING if x > 0.0 else
+            Guarantee.NON_INCREASING if x < 0.0 else Guarantee.BOTH
+            for x in q.tolist()]
 
 
 def _classify_rows(mu: np.ndarray) -> dict[int, RowClass]:
@@ -186,7 +191,6 @@ def classify_policy(solution: SolutionTable) -> MonotonicityReport:
     model = solution.model
     if model is None:
         raise ValueError("solution carries no model")
-    B = solution.B
     mu = solution.mu
 
     in_b = "NonDecreasing"
@@ -200,15 +204,13 @@ def classify_policy(solution: SolutionTable) -> MonotonicityReport:
 
     per_b = _classify_rows(mu)
     thm2 = dict(enumerate(_delta_guarantees(model, solution.delta[1:]), start=1))
-    thm3 = None
-    if np.all(model.r == model.r[0]):
-        thm3 = {b: check_constant_reward(model, b) for b in range(1, B + 1)}
+    thm3 = _constant_reward_guarantees(model)
     return MonotonicityReport(
         in_b_verdict=in_b,
         in_b_witness=in_b_witness,
         per_b_in_v=per_b,
         theorem2_per_b=thm2,
-        theorem3_per_b=thm3,
+        theorem3_per_b=None if thm3 is None else dict(enumerate(thm3, start=1)),
     )
 
 
@@ -227,7 +229,7 @@ def check_submodular(model: ValidatedModel, x_grid: list[float]) -> Submodularit
     if not np.all(np.isfinite(x_grid)):
         raise ValueError("x_grid entries must be finite")
     x = np.array(sorted(set(x_grid)), dtype=float)
-    f = model.c[:, None] - model.actions[:, None] * x  # f[i, a] = c(s_i) - s_i*x_a
+    f = _objective(model, x).T  # f[i, a] = c(s_i) - s_i*x_a
     lo, hi = np.triu_indices(len(model.actions), 1)  # action pairs s- < s+
     xlo, xhi = np.triu_indices(len(x), 1)  # grid pairs x- < x+
     lhs = f[hi][:, xhi] + f[lo][:, xlo]

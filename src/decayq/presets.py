@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .model import ActionSet, CostSpec, ModelConfig
 from .monotone import Direction, MonotonicityReport
 
-__all__ = ["FIGURE_PRESETS", "FigurePreset", "check_regime"]
+__all__ = ["FIGURE_PRESETS", "FigurePreset", "check_regime", "preset_by_id"]
 
 
 @dataclass(frozen=True)

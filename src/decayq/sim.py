@@ -13,9 +13,8 @@ fixed block partition: episode i consumes stream positions
 [i*B*V, (i+1)*B*V).  The derivation depends only on (seed, episode index),
 so results are independent of execution order and bit-exactly replayable;
 ``simulate_episode`` replays episode 0 of that stream.
-The stream is drawn in chunks of whole episodes, at most 16 MiB each, one
-after another from the same generator, which gives the same numbers as
-drawing it at once while bounding memory for any n.
+The stream is drawn into one buffer, at most 16 MiB of whole episodes at a time,
+which gives the numbers of drawing it at once while bounding memory for any n.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,23 +169,24 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
                   initial: tuple[int, int], n: int, seed: int) -> np.ndarray:
     """Total cost of each of n episodes under the block-partitioned stream.
 
-    Episode i uses noise values W[i*L:(i+1)*L] of ``default_rng(seed)``
-    where L = B*V.  The noise is drawn in chunks of whole episodes, at most
-    ``_NOISE_BYTES`` each (or one episode), one after another from the one
-    generator: successive ``random(k)`` calls continue the stream of
-    ``random(n*L)``.  The episodes of a chunk are stepped in lockstep.
+    Episode i uses noise values W[i*L:(i+1)*L] of ``default_rng(seed)``,
+    L = B*V, drawn into one buffer in chunks of whole episodes, at most
+    ``_NOISE_BYTES`` each (or one episode): successive ``random(out=...)``
+    calls continue the stream of ``random(n*L)``.  A chunk steps in lockstep.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an int >= 1, not {n!r}")
     L = model.B * model.V
     rng = np.random.default_rng(seed)
-    chunk = max(1, _NOISE_BYTES // (8 * L))
+    chunk = min(n, max(1, _NOISE_BYTES // (8 * L)))
+    # given back on return, unlike the malloc heap; huge pages cut TLB misses
+    noise = mmap.mmap(-1, 8 * chunk * L, flags=mmap.MAP_PRIVATE)
+    noise.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
     total = np.zeros(n)
     for start in range(0, n, chunk):
         view = total[start:start + chunk]  # the last chunk may be shorter
-        # only the generator holds a chunk's noise, so it is freed before the next draw
-        for active, (*_, cost, _) in _lockstep(model, policy.action_index, initial,
-                                               rng.random(view.size * L).reshape(-1, L)):
+        W = rng.random(out=np.frombuffer(noise, count=view.size * L).reshape(-1, L))
+        for active, (*_, cost, _) in _lockstep(model, policy.action_index, initial, W):
             view[active] += cost
     return total
 

@@ -163,9 +163,15 @@ def solution_from_csv(text: str) -> SolutionTable:
     return SolutionTable(J=J, mu=mu, delta=delta, sigma=sigma, solver_id="csv")
 
 
+def _objective(model: ValidatedModel, x) -> np.ndarray:
+    """f(s, x) = c(s) - s*x, the objective the optimal policy minimizes; the
+    result has shape x.shape + (|S|,)."""
+    return model.c - model.actions * np.asarray(x)[..., None]
+
+
 def _greedy(model: ValidatedModel, x: float) -> tuple[int, float]:
     """Smallest minimizer and minimum of c(s) - s*x over the action set."""
-    obj = model.c - model.actions * x
+    obj = _objective(model, x)
     a = int(np.argmin(obj))  # first occurrence = smallest action
     return a, float(obj[a])
 
@@ -199,14 +205,13 @@ def solve_recursive(model: ValidatedModel) -> SolutionTable:
     J(b, v) = J(b, v-1) + delta(b, v).
     """
     B, V = model.B, model.V
-    s = model.actions
     rows = np.arange(B)
     mu = np.zeros((B + 1, V + 1), dtype=int)
     delta = np.zeros((B + 1, V + 1))
     sigma = np.zeros((B + 1, V + 1))
     sig = np.zeros(B)  # sigma(b, v-1) of every row b
     for v in range(1, V + 1):
-        obj = model.c - s * (model.r[v - 1] + sig)[:, None]
+        obj = _objective(model, model.r[v - 1] + sig)
         a = np.argmin(obj, axis=1)  # first occurrence = smallest action
         d = model.h + obj[rows, a]
         sig = sig + d
@@ -225,20 +230,16 @@ def _row_base(model: ValidatedModel, b: int, down, r) -> np.ndarray:
     return (model.c + model.h_of(b)) + model.actions * (down - r)[:, None]
 
 
-def _action_values(model: ValidatedModel, J: np.ndarray, b: int, v: int) -> np.ndarray:
-    """Expected cost of every action at (b, v): success moves to (b-1, V);
-    failure decays to (b, v-1), or ejects to (b-1, V) when v = 1."""
-    down = J[b - 1, model.V]
-    cont = J[b, v - 1] if v > 1 else down
-    return _row_base(model, b, down, model.r[v - 1:v])[0] + (1.0 - model.actions) * cont
-
-
 def bellman_backup(model: ValidatedModel, J: np.ndarray, b: int, v: int) -> tuple[float, int]:
     """One Bellman backup at (b, v) against the given J table: the minimal
-    cost over actions and the smallest minimizing action index."""
+    cost over actions and the smallest minimizing action index.  Success
+    moves to (b-1, V); failure decays to (b, v-1), or ejects to (b-1, V)
+    when v = 1."""
     if not (1 <= b <= model.B and 1 <= v <= model.V):
         raise ValueError(f"state ({b}, {v}) outside [1, {model.B}] x [1, {model.V}]")
-    vals = _action_values(model, J, b, v)
+    down = J[b - 1, model.V]
+    cont = J[b, v - 1] if v > 1 else down
+    vals = _row_base(model, b, down, model.r[v - 1:v])[0] + (1.0 - model.actions) * cont
     a = int(np.argmin(vals))
     return float(vals[a]), a
 
@@ -262,7 +263,7 @@ def _backward_pass(model: ValidatedModel, J: np.ndarray,
     to the greedy minimum or to the value of action ``fixed[b, v]``.  Each
     state reads only (b, v-1) and (b-1, V), already final, so one pass is
     exact.  Returns the sup-norm change of J and the greedy policy.  The
-    float operations are those of ``_action_values``, in its order."""
+    float operations are those of ``bellman_backup``, in its order."""
     V = model.V
     keep_arr = 1.0 - model.actions
     keep = keep_arr.tolist()
@@ -368,10 +369,11 @@ def near_tie_states(solution: SolutionTable, window: float = 1e-12) -> list[tupl
     model = solution.model
     if model is None:
         raise ValueError("solution carries no model")
-    s = model.actions
+    if not window >= 0:
+        raise ValueError(f"window must be >= 0, not {window!r}")
     near = np.zeros((solution.B, solution.V), dtype=bool)
     for v in range(1, solution.V + 1):
-        obj = model.c - s * (model.r[v - 1] + solution.sigma[1:, v - 1])[:, None]
+        obj = _objective(model, model.r[v - 1] + solution.sigma[1:, v - 1])
         best = obj.min(axis=1)
         near[:, v - 1] = np.sum(obj <= (best + window)[:, None], axis=1) > 1
     return [(b, v) for b, v in (np.argwhere(near) + 1).tolist()]

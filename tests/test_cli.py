@@ -2,11 +2,14 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+import decayq.cli as cli
 from decayq.cli import _write_atomic, main
 
+SAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "sample_config.json"
 FIG1A = {
     "B": 20, "V": 10, "actions": [0.1, 0.5, 0.9],
     "holding": {"kind": "linear", "params": [1]},
@@ -83,6 +86,43 @@ class TestSolve:
         rc = main(["solve", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
+
+    @pytest.mark.parametrize("solver, stdout", [
+        ("recursive", "solver: recursive\n"
+                      "states: 201  actions: 3\n"
+                      "J(20,10) = 279.75940466569256\n"),
+        ("vi", "solver: value_iteration\n"
+               "states: 201  actions: 3\n"
+               "sweeps: 2\n"
+               "J(20,10) = 279.75940466569256\n"),
+        ("pi", "solver: policy_iteration\n"
+               "states: 201  actions: 3\n"
+               "iterations: 4\n"
+               "J(20,10) = 279.75940466569256\n"),
+    ])
+    def test_stdout_pinned(self, tmp_path, capsys, solver, stdout):
+        rc = main(["solve", "--config", str(SAMPLE_CONFIG), "--solver", solver,
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 0
+        assert capsys.readouterr().out == stdout
+
+    def test_each_solver_called_through_module_names(self, tmp_path, monkeypatch):
+        # Tracing wrappers replace these names on decayq.cli; --solver must
+        # look them up when it runs, not hold the originals.
+        calls = []
+
+        def counting(name, solve):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return solve(*args, **kwargs)
+            return wrapper
+
+        for name in ("solve_recursive", "value_iteration", "policy_iteration"):
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        for solver in ("recursive", "vi", "pi"):
+            assert main(["solve", "--config", str(SAMPLE_CONFIG), "--solver", solver,
+                         "--out", str(tmp_path / f"{solver}.csv")]) == 0
+        assert calls == ["solve_recursive", "value_iteration", "policy_iteration"]
 
 
 class TestCheck:

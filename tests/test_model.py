@@ -99,6 +99,12 @@ class TestSizeLimit:
         with pytest.raises(ConfigError, match="limit"):
             self.config(B, V, n_actions)
 
+    @pytest.mark.parametrize("B, V, name", [(True, 2, "B"), (2, True, "V"),
+                                            (False, 2, "B"), (2, 2.0, "V")])
+    def test_bool_or_float_size_rejected(self, B, V, name):
+        with pytest.raises(ConfigError, match=f"{name} must be a positive integer"):
+            self.config(B, V, 1)
+
 
 class TestMaterialize:
     def test_log_barrier_over_actions(self):

@@ -239,6 +239,20 @@ class TestMcEstimate:
         with pytest.raises(ValueError):
             mc_estimate(m, const_policy(m, 0), (1, 1), 0, seed=0)
 
+    @pytest.mark.parametrize("n", [True, np.True_, 2.0, "2", None])
+    @pytest.mark.parametrize("run", [episode_costs, mc_estimate],
+                             ids=["episode_costs", "mc_estimate"])
+    def test_n_must_be_an_int(self, run, n):
+        m = table_model(1, 1, [0.5], h=[1.0], c=[0.5], r=[1.0])
+        with pytest.raises(ValueError, match="n must be an int"):
+            run(m, const_policy(m, 0), (1, 1), n, seed=0)
+
+    def test_n_accepts_numpy_int(self):
+        m = table_model(1, 1, [0.5], h=[1.0], c=[0.5], r=[1.0])
+        pol = const_policy(m, 0)
+        assert mc_estimate(m, pol, (1, 1), np.int64(3), seed=0) \
+            == mc_estimate(m, pol, (1, 1), 3, seed=0)
+
     def test_convergence_for_random_policies(self):
         # Exact policy value within 4 standard errors of the n=1e5 estimate
         # for at least 99 of 100 random policies on small instances.
@@ -295,3 +309,17 @@ class TestNoiseChunks:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * sim._NOISE_BYTES
+
+    def test_noise_is_not_allocated_by_numpy(self):
+        # Noise drawn into numpy arrays lands in the malloc heap, which then
+        # kept 32 MiB of freed chunks between calls, so the peak memory of a
+        # run rested on where the heap's holes fell.
+        m = validate(preset_by_id("1a").config)
+        pol = solve_recursive(m).policy()
+        tracemalloc.start()
+        try:
+            episode_costs(m, pol, (m.B, m.V), 100_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sim._NOISE_BYTES / 4

@@ -323,6 +323,15 @@ class TestNearTieDiagnostic:
     def test_generic_model_has_none(self):
         assert near_tie_states(solve_recursive(fig_model("1a"))) == []
 
+    @pytest.mark.parametrize("window", [-1e-12, -np.inf, np.nan])
+    def test_negative_or_nan_window_rejected(self, window):
+        with pytest.raises(ValueError, match="window"):
+            near_tie_states(solve_recursive(fig_model("1a")), window)
+
+    def test_zero_window_finds_exact_tie(self):
+        m = table_model(1, 1, [0.2, 0.8], h=[0.0], c=[0.2, 0.8], r=[1.0])
+        assert near_tie_states(solve_recursive(m), 0.0) == [(1, 1)]
+
 
 # Bitwise oracle for the array kernels: the per-state loops they replaced,
 # kept here as references.  Hypothesis draws small models with exact ties

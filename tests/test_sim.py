@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_model, table_model
@@ -90,6 +90,26 @@ class TestStep:
         m = table_model(1, 2, [0.5], h=[0.0], c=[0.0], r=[1.0, 2.0])
         with pytest.raises(ValueError, match="terminal"):
             step(m, (0, 2), 0, 0.5)
+
+    def test_every_slot_is_the_documented_dynamics(self):
+        # -0.0, ties, integers and inexact sums in the tables; w on both sides of s
+        actions, h, c, r = [0.0, 0.5, 1.0], [-0.0, 0.1, 2.0], [-0.0, 0.2, 0.2], [0.3, 3.0, 3.0]
+        B, V = len(h), len(r)
+        m = table_model(B, V, actions, h=h, c=c, r=r)
+        for b in range(1, B + 1):
+            for v in range(1, V + 1):
+                for a, s in enumerate(actions):
+                    for w in (0.0, s, float(np.nextafter(s, 1.0)), 1.0):
+                        completed = w <= s
+                        if completed:
+                            want = (b - 1, V), h[b - 1] + c[a] - r[v - 1], Event.COMPLETED
+                        elif v == 1:
+                            want = (b - 1, V), h[b - 1] + c[a] - 0.0, Event.EJECTED
+                        else:
+                            want = (b, v - 1), h[b - 1] + c[a] - 0.0, Event.DECAYED
+                        got = step(m, (b, v), a, w)
+                        assert [(type(x), repr(x)) for x in (*got[0], *got[1:])] \
+                            == [(type(x), repr(x)) for x in (*want[0], *want[1:])], (b, v, a, w)
 
 
 class TestSimulateEpisode:
@@ -284,6 +304,33 @@ class TestMcEstimate:
 
 
 class TestNoiseChunks:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(B=st.integers(1, 5), V=st.integers(1, 5), k=st.integers(1, 3),
+           n=st.integers(1, 40), chunk=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_every_episode_is_the_scalar_episode(self, monkeypatch, B, V, k, n, chunk, seed):
+        # Chunks of a few episodes, so episodes end mid-chunk and chunk edges fall
+        # inside the n episodes; episode i steps on stream positions [i*L, (i+1)*L).
+        rng = np.random.default_rng(seed)
+        actions = np.unique(rng.uniform(0.0, 1.0, size=k))
+        m = table_model(B, V, actions, h=rng.uniform(0.0, 3.0, size=B),
+                        c=rng.uniform(0.0, 3.0, size=len(actions)),
+                        r=rng.uniform(0.1, 3.0, size=V))
+        pol = PolicyTable(action_index=rng.integers(0, len(actions), size=(B + 1, V + 1)))
+        initial = (int(rng.integers(1, B + 1)), int(rng.integers(1, V + 1)))
+        monkeypatch.setattr(sim, "_NOISE_BYTES", 8 * B * V * chunk)
+        got = episode_costs(m, pol, initial, n, seed)
+        stream = np.random.default_rng(seed)
+        want = []
+        for _ in range(n):
+            draws = iter(stream.random(B * V).tolist())
+            state, total = initial, 0.0
+            while state[0] > 0:
+                state, cost, _ = step(m, state, pol.s_at(*state), next(draws))
+                total += cost
+            want.append(total)
+        assert got.tobytes() == np.array(want).tobytes()
+
     def test_chunked_equals_one_block_bitwise(self, monkeypatch):
         rng = np.random.default_rng(67)
         for _ in range(20):

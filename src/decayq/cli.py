@@ -109,6 +109,9 @@ def cmd_simulate(args) -> int:
     if args.n < 1:
         print("error: --n must be >= 1", file=sys.stderr)
         return 1
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return 1
     model = _load_model(args.config)
     solution = solve_recursive(model)
     B, V = model.B, model.V

@@ -7,6 +7,10 @@ to (b-1, V) when it was already at v = 1.  The stage cost is
 h(b) + c(s) - r(v)*[completed].  Every episode ends in the trapping state
 (0, V) within B*V slots.
 
+``_dynamics`` writes that slot once.  The simulators number state (b, v)
+``b*(V+1) + v`` and read it from per-state tables built from the policy, so
+a slot is a few lookups by state id; ``step`` calls it on one state.
+
 Randomness is numpy's PCG64 (stable across platforms).  ``mc_estimate``
 derives per-episode noise from the single stream ``default_rng(seed)`` by
 fixed block partition: episode i consumes stream positions
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ValidatedModel
+from .model import ConfigError, ValidatedModel
 from .solver import PolicyTable, _check_policy
 
 __all__ = [
@@ -42,6 +46,10 @@ __all__ = [
 
 # Byte budget of one chunk of Monte Carlo noise; 4 MiB chunks ran slower.
 _NOISE_BYTES = 1 << 24
+
+# Largest n*B*V: drawing 2**36 uniforms alone takes 5 to 10 minutes on a
+# 2-CPU Xeon.
+_MAX_DRAWS = 1 << 36
 
 
 class Event(enum.Enum):
@@ -95,13 +103,14 @@ class EstimateResult:
     seed: int
 
 
-def _transition(model: ValidatedModel, b, v, a, w):
-    """One slot, elementwise over scalars or arrays: (next b, next v, stage
-    cost, success), where w <= s counts as a success."""
-    success = w <= model.actions[a]
-    cost = model.h[b - 1] + model.c[a] - np.where(success, model.r[v - 1], 0.0)
-    done = success | (v <= 1)
-    return np.where(done, b - 1, b), np.where(done, model.V, v - 1), cost, success
+def _dynamics(model: ValidatedModel, b, v, a):
+    """The slot in state (b, v) under action index a, elementwise over scalars
+    or arrays: (threshold s, stage cost on success, stage cost on failure,
+    next state id on success, next state id on failure), where w <= s counts as
+    a success and state (b, v) has id b*(V+1) + v."""
+    V, base = model.V, model.h[b - 1] + model.c[a]
+    down = (b - 1) * (V + 1) + V
+    return model.actions[a], base - model.r[v - 1], base, down, np.where(v == 1, down, b * (V + 1) + v - 1)
 
 
 def _event(success, nb, b) -> Event:
@@ -124,30 +133,44 @@ def step(model: ValidatedModel, state: tuple[int, int], action_index: int,
     k = len(model.actions)
     if not (isinstance(action_index, (int, np.integer)) and 0 <= action_index < k):
         raise ValueError(f"action index {action_index!r} is not an integer in [0, {k})")
-    nb, nv, cost, success = _transition(model, b, v, action_index, w)
-    return (int(nb), int(nv)), float(cost), _event(success, nb, b)
+    s, win, lose, up, fail = _dynamics(model, b, v, action_index)
+    success = w <= s
+    nb, nv = divmod(int(up if success else fail), model.V + 1)
+    return (nb, nv), float(win if success else lose), _event(success, nb, b)
 
 
 def _lockstep(model: ValidatedModel, pol: np.ndarray, initial: tuple[int, int],
               W: np.ndarray):
-    """Step one episode per row of the noise block W in lockstep, yielding each
-    slot's mask of running episodes and their (b, v, action, w, next b, stage
-    cost, success); every episode must end within B*V slots."""
+    """Step one episode per row of the noise block W in lockstep.
+
+    The policy's ``_dynamics`` is tabulated once over all state ids, costs and
+    next ids interleaved as ``[2*id + success]``.  Each slot yields the running
+    episodes' row numbers, their keys 2*id + success, stage costs and next ids;
+    an episode stops running once its id reaches row b = 0, and every episode
+    must do so within B*V slots.
+    """
     _check_state(model, initial)
     _check_policy(model, pol)
+    V1 = model.V + 1
+    b, v = np.divmod(np.arange((model.B + 1) * V1), V1)
+    b, v = np.maximum(b, 1), np.maximum(v, 1)  # row 0 and column 0 are never read
+    thr, win, lose, up, fail = _dynamics(model, b, v, pol[b, v])
+    cost, nxt = np.column_stack([lose, win]).ravel(), np.column_stack([fail, up]).ravel()
     k, L = W.shape
-    b, v = (np.full(k, x, dtype=np.int64) for x in initial)
-    for t in range(L):
-        active = b > 0
-        if not active.any():
-            break
-        ab, av, aw = b[active], v[active], W[active, t]
-        a = pol[ab, av]
-        nb, nv, cost, success = _transition(model, ab, av, a, aw)
-        yield active, (ab, av, a, aw, nb, cost, success)
-        b[active], v[active] = nb, nv
-    if (b > 0).any():
-        raise AssertionError("episode failed to terminate within B*V slots")
+    W = W.ravel()
+    run = np.arange(k)
+    off, ids = run * L, np.full(k, initial[0] * V1 + initial[1])
+    for _ in range(L):
+        key = 2 * ids + (W[off] <= thr[ids])
+        ids = nxt[key]
+        yield run, key, cost[key], ids
+        off += 1
+        done = ids < V1
+        if done.any():
+            run, off, ids = run[~done], off[~done], ids[~done]
+            if not run.size:
+                return
+    raise AssertionError("episode failed to terminate within B*V slots")
 
 
 def simulate_episode(model: ValidatedModel, policy: PolicyTable,
@@ -156,12 +179,13 @@ def simulate_episode(model: ValidatedModel, policy: PolicyTable,
     stream, ``default_rng(seed).random(B*V)``.  A ``Generator`` passed as
     ``seed`` advances by B*V draws, whatever the episode's length."""
     W = np.random.default_rng(seed).random((1, model.B * model.V))
-    steps, total = [], 0.0
-    for _, slot in _lockstep(model, policy.action_index, initial, W):
-        b, v, a, w, nb, cost, success = (x.item() for x in slot)
-        steps.append(Step(state=(b, v), action_index=a, w=w, stage_cost=cost,
-                          event=_event(success, nb, b)))
-        total += cost
+    V1, steps, total = model.V + 1, [], 0.0
+    for t, (_, key, cost, nxt) in enumerate(_lockstep(model, policy.action_index, initial, W)):
+        (b, v), success = divmod(int(key[0]) // 2, V1), bool(key[0] % 2)
+        steps.append(Step(state=(b, v), action_index=policy.action_index[b, v].item(),
+                          w=W[0, t].item(), stage_cost=cost[0].item(),
+                          event=_event(success, int(nxt[0]) // V1, b)))
+        total += cost[0].item()
     return Trajectory(steps=tuple(steps), total_cost=total)
 
 
@@ -177,6 +201,9 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an int >= 1, not {n!r}")
     L = model.B * model.V
+    if int(n) * L > _MAX_DRAWS:
+        raise ConfigError(f"n*B*V = {int(n) * L} noise draws exceed the limit of "
+                          f"{_MAX_DRAWS} (2**36)")
     rng = np.random.default_rng(seed)
     chunk = min(n, max(1, _NOISE_BYTES // (8 * L)))
     # given back on return, unlike the malloc heap; huge pages cut TLB misses
@@ -186,8 +213,8 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
     for start in range(0, n, chunk):
         view = total[start:start + chunk]  # the last chunk may be shorter
         W = rng.random(out=np.frombuffer(noise, count=view.size * L).reshape(-1, L))
-        for active, (*_, cost, _) in _lockstep(model, policy.action_index, initial, W):
-            view[active] += cost
+        for run, _, cost, _ in _lockstep(model, policy.action_index, initial, W):
+            view[run] += cost
     return total
 
 

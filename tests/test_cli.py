@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import decayq.cli as cli
+from decayq import sim
 from decayq.cli import _write_atomic, main
 
 SAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "sample_config.json"
@@ -170,6 +171,24 @@ class TestSimulate:
 
     def test_invalid_n(self, config_file, capsys):
         assert main(["simulate", "--config", config_file(FIG1A), "--n", "0"]) == 1
+
+    def test_negative_seed_exits_one(self, config_file, capsys):
+        assert main(["simulate", "--config", config_file(FIG1A), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+
+    @pytest.mark.parametrize("n", [2**36 // 200 + 1, 10**13])
+    def test_oversized_n_exits_one(self, config_file, capsys, n):
+        assert main(["simulate", "--config", config_file(FIG1A), "--n", str(n)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: n*B*V = {200 * n} noise draws exceed the limit of "
+                       f"{2**36} (2**36)\n")
+
+    def test_n_at_the_draw_limit_runs(self, config_file, capsys, monkeypatch):
+        monkeypatch.setattr(sim, "_MAX_DRAWS", 200 * 50)
+        cfg = config_file(FIG1A)
+        assert main(["simulate", "--config", cfg, "--n", "50"]) == 0
+        assert main(["simulate", "--config", cfg, "--n", "51"]) == 1
+        assert capsys.readouterr().err.startswith("error: n*B*V = 10200 ")
 
 
 class TestFigures:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import random_model, table_model
 from decayq import (
+    ConfigError,
     Event,
     PolicyTable,
     Trajectory,
@@ -293,6 +294,24 @@ class TestMcEstimate:
         sol = solve_recursive(m)
         est = mc_estimate(m, sol.policy(), (20, 10), 100_000, seed=0)
         assert abs(est.mean - sol.J[20, 10]) <= 3 * est.std_error
+
+    def test_noise_draws_capped_at_the_limit(self, monkeypatch):
+        m = table_model(2, 3, [0.5], h=[1.0, 2.0], c=[0.5], r=[1.0, 2.0, 3.0])
+        pol = const_policy(m, 0)
+        monkeypatch.setattr(sim, "_MAX_DRAWS", 6 * 4)
+        assert episode_costs(m, pol, (2, 3), 4, seed=0).shape == (4,)
+        for run in (episode_costs, mc_estimate):
+            with pytest.raises(ConfigError, match=r"n\*B\*V = 30 noise draws exceed the limit of 24"):
+                run(m, pol, (2, 3), 5, seed=0)
+
+    @pytest.mark.parametrize("n", [2**36 // 6 + 1, 10**13, np.int64(2**62)],
+                             ids=["limit+1", "1e13", "int64"])
+    @pytest.mark.parametrize("run", [episode_costs, mc_estimate],
+                             ids=["episode_costs", "mc_estimate"])
+    def test_oversized_n_rejected_before_drawing(self, run, n):
+        m = table_model(2, 3, [0.5], h=[1.0, 2.0], c=[0.5], r=[1.0, 2.0, 3.0])
+        with pytest.raises(ConfigError, match=r"\(2\*\*36\)"):
+            run(m, const_policy(m, 0), (2, 3), n, seed=0)
 
     def test_episode_costs_all_terminate(self):
         rng = np.random.default_rng(53)

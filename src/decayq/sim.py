@@ -5,11 +5,8 @@ uniform noise w, the job completes when w <= s (moving to (b-1, V) and
 collecting r(v)); otherwise the value decays to v-1, or the job is ejected
 to (b-1, V) when it was already at v = 1.  The stage cost is
 h(b) + c(s) - r(v)*[completed].  Every episode ends in the trapping state
-(0, V) within B*V slots.
-
-``_dynamics`` writes that slot once.  The simulators number state (b, v)
-``b*(V+1) + v`` and read it from per-state tables built from the policy, so
-a slot is a few lookups by state id; ``step`` calls it on one state.
+(0, V) within B*V slots.  ``_dynamics`` is the one copy of this slot; the
+simulators tabulate it once per policy over the state ids b*(V+1) + v.
 
 Randomness is numpy's PCG64 (stable across platforms).  ``mc_estimate``
 derives per-episode noise from the single stream ``default_rng(seed)`` by
@@ -47,8 +44,7 @@ __all__ = [
 # Byte budget of one chunk of Monte Carlo noise; 4 MiB chunks ran slower.
 _NOISE_BYTES = 1 << 24
 
-# Largest n*B*V: drawing 2**36 uniforms alone takes 5 to 10 minutes on a
-# 2-CPU Xeon.
+# Largest n*B*V: 2**36 draws alone take 5 to 10 minutes on a 2-CPU Xeon.
 _MAX_DRAWS = 1 << 36
 
 
@@ -104,13 +100,12 @@ class EstimateResult:
 
 
 def _dynamics(model: ValidatedModel, b, v, a):
-    """The slot in state (b, v) under action index a, elementwise over scalars
-    or arrays: (threshold s, stage cost on success, stage cost on failure,
-    next state id on success, next state id on failure), where w <= s counts as
-    a success and state (b, v) has id b*(V+1) + v."""
-    V, base = model.V, model.h[b - 1] + model.c[a]
-    down = (b - 1) * (V + 1) + V
-    return model.actions[a], base - model.r[v - 1], base, down, np.where(v == 1, down, b * (V + 1) + v - 1)
+    """Slot (b, v), of id b*(V+1) + v, under action index a, elementwise: (s, stage
+    cost on success, on failure, next id on success, on failure); w <= s succeeds."""
+    V1, base = model.V + 1, model.h[b - 1] + model.c[a]
+    down = (b - 1) * V1 + model.V
+    return (model.actions[a], base - model.r[v - 1], base, down,
+            np.where(v == 1, down, b * V1 + v - 1))
 
 
 def _event(success, nb, b) -> Event:
@@ -141,33 +136,22 @@ def step(model: ValidatedModel, state: tuple[int, int], action_index: int,
 
 def _lockstep(model: ValidatedModel, pol: np.ndarray, initial: tuple[int, int],
               W: np.ndarray):
-    """Step one episode per row of the noise block W in lockstep.
-
-    The policy's ``_dynamics`` is tabulated once over all state ids, costs and
-    next ids interleaved as ``[2*id + success]``.  Each slot yields the running
-    episodes' row numbers, their keys 2*id + success, stage costs and next ids;
-    an episode stops running once its id reaches row b = 0, and every episode
-    must do so within B*V slots.
-    """
+    """Step one episode per row of the noise block W in lockstep, yielding per
+    slot the running episodes' rows, keys 2*id + success, stage costs and next
+    ids; an episode runs until its id reaches row b = 0, within B*V slots."""
     _check_state(model, initial)
     _check_policy(model, pol)
     V1 = model.V + 1
-    b, v = np.divmod(np.arange((model.B + 1) * V1), V1)
-    b, v = np.maximum(b, 1), np.maximum(v, 1)  # row 0 and column 0 are never read
+    b, v = np.maximum(np.divmod(np.arange((model.B + 1) * V1), V1), 1)  # row/col 0 unread
     thr, win, lose, up, fail = _dynamics(model, b, v, pol[b, v])
     cost, nxt = np.column_stack([lose, win]).ravel(), np.column_stack([fail, up]).ravel()
-    k, L = W.shape
-    W = W.ravel()
-    run = np.arange(k)
-    off, ids = run * L, np.full(k, initial[0] * V1 + initial[1])
-    for _ in range(L):
-        key = 2 * ids + (W[off] <= thr[ids])
+    run, ids = np.arange(len(W)), np.full(len(W), initial[0] * V1 + initial[1])
+    for t in range(W.shape[1]):
+        key = 2 * ids + (W[run, t] <= thr[ids])
         ids = nxt[key]
         yield run, key, cost[key], ids
-        off += 1
-        done = ids < V1
-        if done.any():
-            run, off, ids = run[~done], off[~done], ids[~done]
+        if not (going := ids >= V1).all():
+            run, ids = run[going], ids[going]
             if not run.size:
                 return
     raise AssertionError("episode failed to terminate within B*V slots")

@@ -183,6 +183,22 @@ class TestSimulateEpisode:
         assert typed_fields(traj) == typed_fields(ref)
         assert traj.to_jsonl() == ref.to_jsonl()
 
+    @pytest.mark.parametrize("s, slots", [(1.0, 2), (0.0, 6)],
+                             ids=["ends_early", "runs_all_slots"])
+    def test_generator_seed_advances_by_B_times_V(self, s, slots):
+        # B*V = 6: sure completion ends after B = 2 slots, no service after all 6
+        m = table_model(2, 3, [s], h=[1.0, 2.0], c=[0.0], r=[1.0, 2.0, 3.0])
+        g = np.random.default_rng(5)
+        assert len(simulate_episode(m, const_policy(m, 0), (2, 3), g)) == slots
+        assert g.random() == np.random.default_rng(5).random(2 * 3 + 1)[-1]
+
+    def test_numpy_int_initial_state_gives_python_ints(self):
+        m = table_model(2, 3, [0.2, 0.6], h=[1.0, 2.0], c=[0.1, 0.5], r=[1.0, 2.0, 3.0])
+        pol = PolicyTable(action_index=np.ones((3, 4), dtype=np.int64))
+        traj = simulate_episode(m, pol, (np.int64(2), np.int32(3)), seed=3)
+        assert all(type(x) is int for s_ in traj.steps for x in (*s_.state, s_.action_index))
+        assert traj.to_jsonl() == simulate_episode(m, pol, (2, 3), seed=3).to_jsonl()
+
     def test_jsonl_export(self):
         m = table_model(1, 2, [0.0], h=[1.0], c=[0.0], r=[1.0, 1.0])
         traj = simulate_episode(m, const_policy(m, 0), (1, 2), seed=0)

@@ -120,8 +120,9 @@ def cmd_simulate(args) -> int:
     print(f"MC mean         = {est.mean!r}")
     print(f"MC std_error    = {est.std_error!r}")
     print(f"n = {est.n}  seed = {est.seed}")
-    print(f"|mean - J| / std_error = "
-          f"{abs(est.mean - solution.J[B, V]) / est.std_error if est.std_error else 0.0:.3f}")
+    gap = abs(est.mean - solution.J[B, V])
+    print("|mean - J| / std_error = "
+          + (f"{gap / est.std_error:.3f}" if est.std_error else "n/a (std_error is 0)"))
     return 0
 
 

@@ -5,8 +5,9 @@ uniform noise w, the job completes when w <= s (moving to (b-1, V) and
 collecting r(v)); otherwise the value decays to v-1, or the job is ejected
 to (b-1, V) when it was already at v = 1.  The stage cost is
 h(b) + c(s) - r(v)*[completed].  Every episode ends in the trapping state
-(0, V) within B*V slots.  ``_dynamics`` is the one copy of this slot; the
-simulators tabulate it once per policy over the state ids b*(V+1) + v.
+(0, V) within B*V slots.  ``_dynamics`` is the one copy of this slot;
+``simulate_episode`` loops over it through ``step``, and ``episode_costs``
+tabulates it once per call over the state ids b*(V+1) + v.
 
 Randomness is numpy's PCG64 (stable across platforms).  ``mc_estimate``
 derives per-episode noise from the single stream ``default_rng(seed)`` by
@@ -108,14 +109,12 @@ def _dynamics(model: ValidatedModel, b, v, a):
             np.where(v == 1, down, b * V1 + v - 1))
 
 
-def _event(success, nb, b) -> Event:
-    return Event.COMPLETED if success else Event.DECAYED if nb == b else Event.EJECTED
-
-
 def _check_state(model: ValidatedModel, state: tuple[int, int]) -> None:
-    if not (1 <= state[0] <= model.B and 1 <= state[1] <= model.V):
+    b, v = state
+    if not (isinstance(b, (int, np.integer)) and isinstance(v, (int, np.integer))
+            and 1 <= b <= model.B and 1 <= v <= model.V):
         raise ValueError(f"state {tuple(state)} must be nonterminal, "
-                         f"in [1, {model.B}] x [1, {model.V}]")
+                         f"integers in [1, {model.B}] x [1, {model.V}]")
 
 
 def step(model: ValidatedModel, state: tuple[int, int], action_index: int,
@@ -131,30 +130,8 @@ def step(model: ValidatedModel, state: tuple[int, int], action_index: int,
     s, win, lose, up, fail = _dynamics(model, b, v, action_index)
     success = w <= s
     nb, nv = divmod(int(up if success else fail), model.V + 1)
-    return (nb, nv), float(win if success else lose), _event(success, nb, b)
-
-
-def _lockstep(model: ValidatedModel, pol: np.ndarray, initial: tuple[int, int],
-              W: np.ndarray):
-    """Step one episode per row of the noise block W in lockstep, yielding per
-    slot the running episodes' rows, keys 2*id + success, stage costs and next
-    ids; an episode runs until its id reaches row b = 0, within B*V slots."""
-    _check_state(model, initial)
-    _check_policy(model, pol)
-    V1 = model.V + 1
-    b, v = np.maximum(np.divmod(np.arange((model.B + 1) * V1), V1), 1)  # row/col 0 unread
-    thr, win, lose, up, fail = _dynamics(model, b, v, pol[b, v])
-    cost, nxt = np.column_stack([lose, win]).ravel(), np.column_stack([fail, up]).ravel()
-    run, ids = np.arange(len(W)), np.full(len(W), initial[0] * V1 + initial[1])
-    for t in range(W.shape[1]):
-        key = 2 * ids + (W[run, t] <= thr[ids])
-        ids = nxt[key]
-        yield run, key, cost[key], ids
-        if not (going := ids >= V1).all():
-            run, ids = run[going], ids[going]
-            if not run.size:
-                return
-    raise AssertionError("episode failed to terminate within B*V slots")
+    event = Event.COMPLETED if success else Event.DECAYED if nb == b else Event.EJECTED
+    return (nb, nv), float(win if success else lose), event
 
 
 def simulate_episode(model: ValidatedModel, policy: PolicyTable,
@@ -162,14 +139,19 @@ def simulate_episode(model: ValidatedModel, policy: PolicyTable,
     """Run one episode under a fixed policy: episode 0 of the ``mc_estimate``
     stream, ``default_rng(seed).random(B*V)``.  A ``Generator`` passed as
     ``seed`` advances by B*V draws, whatever the episode's length."""
-    W = np.random.default_rng(seed).random((1, model.B * model.V))
-    V1, steps, total = model.V + 1, [], 0.0
-    for t, (_, key, cost, nxt) in enumerate(_lockstep(model, policy.action_index, initial, W)):
-        (b, v), success = divmod(int(key[0]) // 2, V1), bool(key[0] % 2)
-        steps.append(Step(state=(b, v), action_index=policy.action_index[b, v].item(),
-                          w=W[0, t].item(), stage_cost=cost[0].item(),
-                          event=_event(success, int(nxt[0]) // V1, b)))
-        total += cost[0].item()
+    _check_state(model, initial)
+    _check_policy(model, policy.action_index)
+    W = np.random.default_rng(seed).random(model.B * model.V).tolist()
+    state, steps, total = (int(initial[0]), int(initial[1])), [], 0.0
+    for w in W:
+        a = policy.s_at(*state)
+        nxt, cost, event = step(model, state, a, w)
+        steps.append(Step(state=state, action_index=a, w=w, stage_cost=cost, event=event))
+        total += cost
+        if (state := nxt)[0] == 0:
+            break
+    else:
+        raise AssertionError("episode failed to terminate within B*V slots")
     return Trajectory(steps=tuple(steps), total_cost=total)
 
 
@@ -180,7 +162,8 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
     Episode i uses noise values W[i*L:(i+1)*L] of ``default_rng(seed)``,
     L = B*V, drawn into one buffer in chunks of whole episodes, at most
     ``_NOISE_BYTES`` each (or one episode): successive ``random(out=...)``
-    calls continue the stream of ``random(n*L)``.  A chunk steps in lockstep.
+    calls continue the stream of ``random(n*L)``.  A chunk steps in lockstep on
+    the ``_dynamics`` tables, keyed 2*id + success, until every id is in row 0.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an int >= 1, not {n!r}")
@@ -188,6 +171,12 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
     if int(n) * L > _MAX_DRAWS:
         raise ConfigError(f"n*B*V = {int(n) * L} noise draws exceed the limit of "
                           f"{_MAX_DRAWS} (2**36)")
+    _check_state(model, initial)
+    _check_policy(model, policy.action_index)
+    V1 = model.V + 1
+    b, v = np.maximum(np.divmod(np.arange((model.B + 1) * V1), V1), 1)  # row/col 0 unread
+    thr, win, lose, up, fail = _dynamics(model, b, v, policy.action_index[b, v])
+    cost, nxt = np.column_stack([lose, win]).ravel(), np.column_stack([fail, up]).ravel()
     rng = np.random.default_rng(seed)
     chunk = min(n, max(1, _NOISE_BYTES // (8 * L)))
     # given back on return, unlike the malloc heap; huge pages cut TLB misses
@@ -197,8 +186,17 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
     for start in range(0, n, chunk):
         view = total[start:start + chunk]  # the last chunk may be shorter
         W = rng.random(out=np.frombuffer(noise, count=view.size * L).reshape(-1, L))
-        for run, _, cost, _ in _lockstep(model, policy.action_index, initial, W):
-            view[run] += cost
+        run, ids = np.arange(len(W)), np.full(len(W), initial[0] * V1 + initial[1])
+        for t in range(L):
+            key = 2 * ids + (W[run, t] <= thr[ids])
+            view[run] += cost[key]
+            ids = nxt[key]
+            if not (going := ids >= V1).all():
+                run, ids = run[going], ids[going]
+                if not run.size:
+                    break
+        else:
+            raise AssertionError("episode failed to terminate within B*V slots")
     return total
 
 

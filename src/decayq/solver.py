@@ -137,8 +137,10 @@ def solution_from_csv(text: str) -> SolutionTable:
     *body, terminal = rows
     if terminal[0] != "0":
         raise ValueError("terminal row missing")
+    V = int(terminal[1]) if terminal[1].isdecimal() else -1
+    if terminal != ["0", str(V), "0", "", "", "", ""]:
+        raise ValueError(f"terminal row {','.join(terminal)!r} is not of the form 0,V,0,,,,")
     B = max(int(r[0]) for r in body)
-    V = int(terminal[1])
     if len(body) != B * V:
         raise ValueError(f"{len(body)} policy rows for the {B}x{V} state grid")
     J, delta, sigma = np.zeros((3, B + 1, V + 1))

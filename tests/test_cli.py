@@ -169,6 +169,14 @@ class TestSimulate:
         main(["simulate", "--config", cfg, "--n", "2000", "--seed", "7"])
         assert capsys.readouterr().out == first
 
+    def test_single_episode_has_no_z_score(self, capsys):
+        # one episode has std_error 0: no ratio to print, and not a perfect 0.000
+        assert main(["simulate", "--config", str(SAMPLE_CONFIG), "--n", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "MC std_error    = 0.0"
+        assert float(lines[1].split("=")[1]) != float(lines[0].split("=")[1])
+        assert lines[-1] == "|mean - J| / std_error = n/a (std_error is 0)"
+
     def test_invalid_n(self, config_file, capsys):
         assert main(["simulate", "--config", config_file(FIG1A), "--n", "0"]) == 1
 

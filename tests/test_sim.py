@@ -223,6 +223,19 @@ def test_initial_state_off_the_grid_rejected(run, initial):
 
 
 @pytest.mark.parametrize("run", [
+    lambda m, pol, initial: step(m, initial, 0, 0.5),
+    lambda m, pol, initial: simulate_episode(m, pol, initial, seed=0),
+    lambda m, pol, initial: episode_costs(m, pol, initial, 5, seed=0),
+], ids=["step", "simulate_episode", "episode_costs"])
+@pytest.mark.parametrize("initial", [(1.5, 3), (2, 2.5), (2.0, 3.0)],
+                         ids=["b=1.5", "v=2.5", "floats"])
+def test_fractional_state_rejected(run, initial):
+    m = table_model(2, 3, [0.5], h=[1.0, 2.0], c=[0.5], r=[1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="integers in"):
+        run(m, const_policy(m, 0), initial)
+
+
+@pytest.mark.parametrize("run", [
     lambda m, pol: evaluate_policy(m, pol),
     lambda m, pol: simulate_episode(m, pol, (m.B, m.V), seed=0),
     lambda m, pol: episode_costs(m, pol, (m.B, m.V), 5, seed=0),

@@ -313,6 +313,15 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=message):
             solution_from_csv("\n".join(edit(rows)) + "\n")
 
+    @pytest.mark.parametrize("terminal", [
+        "0,2,5,x,y,z,w", "0,2,0,,,,1", "0,2,0.0,,,,", "0,02,0,,,,", "0,x,0,,,,", "0,-2,0,,,,",
+    ])
+    def test_terminal_row_other_than_written_rejected(self, terminal):
+        m = table_model(2, 2, [0.3, 0.7], h=[1.0, 2.0], c=[0.5, 1.5], r=[1.0, 2.0])
+        rows = solve_recursive(m).to_csv().strip().split("\n")
+        with pytest.raises(ValueError, match=f"terminal row '{terminal}' is not"):
+            solution_from_csv("\n".join(rows[:-1] + [terminal]) + "\n")
+
 
 class TestNearTieDiagnostic:
     def test_reports_constructed_tie(self):

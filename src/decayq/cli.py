@@ -40,7 +40,7 @@ def _load_model(path: str) -> ValidatedModel:
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return validate(load_config(text))
 
@@ -83,8 +83,7 @@ def _changes(before, after) -> list[list[int]]:
 
 def cmd_solve(args) -> int:
     if not 0 < args.tol < math.inf:
-        print("error: --tol must be positive and finite", file=sys.stderr)
-        return 1
+        raise ConfigError("--tol must be positive and finite")
     model = _load_model(args.config)
     solve, counter = _SOLVERS[args.solver]
     solution = solve(model, args.tol)
@@ -107,11 +106,9 @@ def cmd_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.n < 1:
-        print("error: --n must be >= 1", file=sys.stderr)
-        return 1
+        raise ConfigError("--n must be >= 1")
     if args.seed < 0:
-        print("error: --seed must be >= 0", file=sys.stderr)
-        return 1
+        raise ConfigError("--seed must be >= 0")
     model = _load_model(args.config)
     solution = solve_recursive(model)
     B, V = model.B, model.V
@@ -129,8 +126,7 @@ def cmd_simulate(args) -> int:
 def cmd_figures(args) -> int:
     out_dir = args.out
     if not os.path.isdir(out_dir) or not os.access(out_dir, os.W_OK):
-        print(f"error: {out_dir!r} is not a writable directory", file=sys.stderr)
-        return 1
+        raise ConfigError(f"{out_dir!r} is not a writable directory")
     manifest = {}
     failures = []
     for preset in FIGURE_PRESETS:

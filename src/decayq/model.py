@@ -108,12 +108,6 @@ class CostSpec:
             if self.values:
                 raise ConfigError("parametric spec takes no values list")
 
-    def evaluate(self, x: float) -> float:
-        """Evaluate the family at one argument (not valid for tables)."""
-        if self.kind == "table":
-            raise ValidationError("table specs have no closed form; use materialize()")
-        return _FAMILIES[self.kind][1](self.params, x)
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -139,9 +133,9 @@ class ModelConfig:
 class AssumptionFlags:
     """Which standing monotonicity assumptions the materialized tables satisfy.
 
-    Recomputed from the tables, never taken from input.  Solvers are correct
-    regardless; the flags gate which structural guarantees the monotonicity
-    checkers may assert.
+    Recomputed from the tables, never taken from input.  They only report:
+    no solver, checker or simulator reads them, and each monotonicity
+    checker tests its own conditions on the tables and the solution.
     """
 
     h_nondecreasing: bool
@@ -187,46 +181,24 @@ class ValidatedModel:
         return float(self.r[v - 1])
 
 
-def materialize(
-    spec: CostSpec,
-    domain_size: int,
-    domain_kind: str,
-    actions: ActionSet | None = None,
-) -> np.ndarray:
-    """Evaluate a CostSpec over its whole domain.
-
-    ``domain_kind`` is one of ``job_index`` / ``value_index`` (arguments run
-    1..domain_size; entry i holds the value at i+1) or ``action_value``
-    (entry i holds the value at ``actions.values[i]``).
+def materialize(spec: CostSpec, args: Sequence[float]) -> np.ndarray:
+    """Evaluate a CostSpec at each argument: entry i holds the value at
+    ``args[i]``, and a table spec must have ``len(args)`` entries.
+    ``validate`` passes 1..B, the action values and 1..V.
     """
-    if domain_size < 1:
-        raise ValidationError("domain_size must be >= 1")
-    if domain_kind not in ("job_index", "value_index", "action_value"):
-        raise ValidationError(f"unknown domain kind {domain_kind!r}")
-    if domain_kind == "action_value":
-        if actions is None:
-            raise ValidationError("action_value materialization needs the action set")
-        if domain_size != len(actions):
-            raise ValidationError("domain_size must match the action set length")
-        args: Sequence[float] = actions.values
-    else:
-        args = range(1, domain_size + 1)
-
     if spec.kind == "table":
-        if len(spec.values) != domain_size:
-            raise ValidationError(
-                f"table of length {len(spec.values)} cannot cover a domain of "
-                f"size {domain_size}"
-            )
+        if len(spec.values) != len(args):
+            raise ValidationError(f"table of length {len(spec.values)} cannot cover "
+                                  f"a domain of size {len(args)}")
         out = np.array(spec.values, dtype=float)
     else:
-        out = np.array([spec.evaluate(float(x)) for x in args], dtype=float)
+        f = _FAMILIES[spec.kind][1]
+        out = np.array([f(spec.params, float(x)) for x in args], dtype=float)
 
     if not np.all(np.isfinite(out)):
         bad = int(np.flatnonzero(~np.isfinite(out))[0])
-        raise ValidationError(
-            f"{spec.kind} spec evaluates to a non-finite value at domain entry {bad}"
-        )
+        raise ValidationError(f"{spec.kind} spec evaluates to a non-finite value "
+                              f"at domain entry {bad}")
     out.flags.writeable = False
     return out
 
@@ -238,9 +210,9 @@ def validate(config: ModelConfig) -> ValidatedModel:
     need them); a non-positive reward entry is a hard error because the
     model requires strictly positive completion rewards.
     """
-    h = materialize(config.holding, config.B, "job_index")
-    c = materialize(config.service_cost, len(config.actions), "action_value", config.actions)
-    r = materialize(config.reward, config.V, "value_index")
+    h = materialize(config.holding, range(1, config.B + 1))
+    c = materialize(config.service_cost, config.actions.values)
+    r = materialize(config.reward, range(1, config.V + 1))
     if np.any(r <= 0.0):
         bad = int(np.flatnonzero(r <= 0.0)[0]) + 1
         raise ValidationError(f"reward must be strictly positive; r({bad}) = {r[bad - 1]}")
@@ -275,12 +247,15 @@ def _parse_cost_spec(obj, field: str) -> CostSpec:
 
 def _numbers(x, message: str) -> tuple[float, ...]:
     """A JSON list of numbers (bools excluded) as floats; ConfigError(message)
-    for anything else."""
+    for anything else, an int beyond the float range included."""
     if not isinstance(x, list) or not all(
         isinstance(e, (int, float)) and not isinstance(e, bool) for e in x
     ):
         raise ConfigError(message)
-    return tuple(float(e) for e in x)
+    try:
+        return tuple(float(e) for e in x)
+    except OverflowError:
+        raise ConfigError(message) from None
 
 
 def load_config(text: str) -> ModelConfig:
@@ -292,7 +267,7 @@ def load_config(text: str) -> ModelConfig:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError or a 4301-digit int
         raise ConfigError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")

@@ -16,7 +16,7 @@ fixed block partition: episode i consumes stream positions
 so results are independent of execution order and bit-exactly replayable;
 ``simulate_episode`` replays episode 0 of that stream.
 The stream is drawn into one buffer, at most 16 MiB of whole episodes at a time,
-which gives the numbers of drawing it at once while bounding memory for any n.
+which gives the numbers of drawing it at once while bounding the buffer for any n.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ _NOISE_BYTES = 1 << 24
 
 # Largest n*B*V: 2**36 draws alone take 5 to 10 minutes on a 2-CPU Xeon.
 _MAX_DRAWS = 1 << 36
+
+# Largest n: 2**26 float64 episode totals take 512 MiB, the solver tables' budget.
+_MAX_EPISODES = 1 << 26
 
 
 class Event(enum.Enum):
@@ -171,6 +174,8 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
     if int(n) * L > _MAX_DRAWS:
         raise ConfigError(f"n*B*V = {int(n) * L} noise draws exceed the limit of "
                           f"{_MAX_DRAWS} (2**36)")
+    if n > _MAX_EPISODES:
+        raise ConfigError(f"n = {n} episodes exceed the limit of {_MAX_EPISODES} (2**26)")
     _check_state(model, initial)
     _check_policy(model, policy.action_index)
     V1 = model.V + 1

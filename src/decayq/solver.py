@@ -147,21 +147,34 @@ def solution_from_csv(text: str) -> SolutionTable:
     mu = np.zeros((B + 1, V + 1), dtype=int)
     seen = np.zeros((B + 1, V + 1), dtype=bool)
     action_text: dict[int, str] = {}  # mu_index -> its mu_value text
+    top = np.iinfo(mu.dtype).max
     for r in body:
         b, v = int(r[0]), int(r[1])
         if b < 1 or not 1 <= v <= V or seen[b, v]:
             raise ValueError(f"state ({b}, {v}) is repeated or outside the {B}x{V} grid")
         seen[b, v] = True
         a = int(r[3])
-        if a < 0:
-            raise ValueError(f"state ({b}, {v}) has negative mu_index {a}")
-        if action_text.setdefault(a, r[4]) != r[4]:
+        if not 0 <= a <= top:
+            raise ValueError(f"state ({b}, {v}) has {'negative' if a < 0 else 'out-of-range'}"
+                             f" mu_index {a}")
+        if a not in action_text:
+            action_text[a] = r[4]
+            try:
+                float(r[4])
+            except ValueError:
+                raise ValueError(f"state ({b}, {v}) has mu_value {r[4]!r}, "
+                                 "not a number") from None
+        elif action_text[a] != r[4]:
             raise ValueError(f"mu_index {a} has two mu_value texts "
                              f"{action_text[a]!r} and {r[4]!r}")
         J[b, v] = float(r[2])
         mu[b, v] = a
         delta[b, v] = float(r[5])
         sigma[b, v] = float(r[6])
+    finite = np.isfinite(J) & np.isfinite(delta) & np.isfinite(sigma)
+    if not finite.all():
+        b, v = np.argwhere(~finite)[0]
+        raise ValueError(f"state ({b}, {v}) has a J, delta or sigma that is not finite")
     return SolutionTable(J=J, mu=mu, delta=delta, sigma=sigma, solver_id="csv")
 
 

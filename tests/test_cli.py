@@ -88,6 +88,20 @@ class TestSolve:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
 
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["check", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config") and "Traceback" not in err
+
+    def test_deeply_nested_config_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert main(["check", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed JSON") and "Traceback" not in err
+
     @pytest.mark.parametrize("solver, stdout", [
         ("recursive", "solver: recursive\n"
                       "states: 201  actions: 3\n"
@@ -190,6 +204,12 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err == (f"error: n*B*V = {200 * n} noise draws exceed the limit of "
                        f"{2**36} (2**36)\n")
+
+    def test_n_over_the_episode_limit_exits_one(self, config_file, capsys):
+        one = dict(FIG1A, B=1, V=1)  # n = 2**36 passes the draw limit at B*V = 1
+        assert main(["simulate", "--config", config_file(one), "--n", str(2**36)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: n = {2**36} episodes exceed the limit of {2**26} (2**26)\n"
 
     def test_n_at_the_draw_limit_runs(self, config_file, capsys, monkeypatch):
         monkeypatch.setattr(sim, "_MAX_DRAWS", 200 * 50)

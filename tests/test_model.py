@@ -53,6 +53,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="malformed"):
             load_config("{not json")
 
+    @pytest.mark.parametrize("actions, message", [
+        ("[1" + "0" * 400 + "]", "actions must be an array of numbers"),  # beyond float
+        ("[" + "1" * 5000 + "]", "malformed JSON"),  # beyond json's 4300-digit limit
+    ])
+    def test_oversized_integer_rejected(self, actions, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(FIG1A_DOC.replace("[0.1, 0.5, 0.9]", actions))
+
     def test_unknown_top_level_key(self):
         doc = json.loads(FIG1A_DOC)
         doc["discount"] = 0.9
@@ -109,26 +117,26 @@ class TestSizeLimit:
 class TestMaterialize:
     def test_log_barrier_over_actions(self):
         actions = ActionSet((0.1, 0.5, 0.9))
-        out = materialize(CostSpec("log_barrier", params=(5.0,)), 3, "action_value", actions)
+        out = materialize(CostSpec("log_barrier", params=(5.0,)), actions.values)
         expected = [5 * math.log(10 / 9), 5 * math.log(2), 5 * math.log(10)]
         np.testing.assert_allclose(out, expected, rtol=1e-15)
 
     def test_constant_over_value_domain(self):
-        out = materialize(CostSpec("constant", params=(7.0,)), 4, "value_index")
+        out = materialize(CostSpec("constant", params=(7.0,)), range(1, 5))
         assert list(out) == [7.0, 7.0, 7.0, 7.0]
 
     def test_log_over_value_domain(self):
-        out = materialize(CostSpec("log", params=(5.0,)), 2, "value_index")
+        out = materialize(CostSpec("log", params=(5.0,)), range(1, 3))
         np.testing.assert_allclose(out, [5 * math.log(2), 5 * math.log(3)], rtol=1e-15)
 
     def test_table_length_mismatch(self):
         with pytest.raises(ValidationError, match="length"):
-            materialize(CostSpec("table", values=(1.0, 2.0)), 3, "job_index")
+            materialize(CostSpec("table", values=(1.0, 2.0)), range(1, 4))
 
     def test_deterministic(self):
         spec = CostSpec("affine", params=(0.1, 25.0))
-        a = materialize(spec, 10, "value_index")
-        b = materialize(spec, 10, "value_index")
+        a = materialize(spec, range(1, 11))
+        b = materialize(spec, range(1, 11))
         assert a.tobytes() == b.tobytes()
 
 

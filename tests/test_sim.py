@@ -342,6 +342,11 @@ class TestMcEstimate:
         with pytest.raises(ConfigError, match=r"\(2\*\*36\)"):
             run(m, const_policy(m, 0), (2, 3), n, seed=0)
 
+    def test_n_over_the_episode_limit_rejected_before_allocating(self):
+        m = table_model(1, 1, [0.5], h=[1.0], c=[0.5], r=[1.0])
+        with pytest.raises(ConfigError, match=r"n = 67108865 episodes exceed .* \(2\*\*26\)"):
+            episode_costs(m, const_policy(m, 0), (1, 1), 2**26 + 1, seed=0)
+
     def test_episode_costs_all_terminate(self):
         rng = np.random.default_rng(53)
         for _ in range(5):

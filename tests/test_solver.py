@@ -322,6 +322,30 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=f"terminal row '{terminal}' is not"):
             solution_from_csv("\n".join(rows[:-1] + [terminal]) + "\n")
 
+    @pytest.mark.parametrize("field, text, message", [
+        (2, "nan", "a J, delta or sigma that is not finite"),
+        (2, "-inf", "a J, delta or sigma that is not finite"),
+        (5, "inf", "a J, delta or sigma that is not finite"),
+        (6, "1e999", "a J, delta or sigma that is not finite"),
+        (4, "abc", "mu_value 'abc', not a number"),
+        (4, "", "mu_value '', not a number"),
+        (3, str(10**30), f"out-of-range mu_index {10**30}"),
+        (3, str(2**63), f"out-of-range mu_index {2**63}"),
+    ])
+    def test_non_finite_or_unparseable_field_rejected(self, field, text, message):
+        m = table_model(2, 2, [0.3, 0.7], h=[1.0, 2.0], c=[0.5, 1.5], r=[1.0, 2.0])
+        rows = solve_recursive(m).to_csv().strip().split("\n")
+        fields = rows[1].split(",")
+        fields[field] = text
+        with pytest.raises(ValueError, match=rf"state \(1, 1\) has {message}"):
+            solution_from_csv("\n".join([rows[0], ",".join(fields)] + rows[2:]) + "\n")
+
+    def test_row_of_non_finite_numbers_rejected(self):
+        text = "b,v,J,mu_index,mu_value,delta,sigma\n1,1,nan,0,0.5,inf,-inf\n0,1,0,,,,\n"
+        with pytest.raises(ValueError, match=r"state \(1, 1\) has a J, delta or sigma "
+                                             "that is not finite"):
+            solution_from_csv(text)
+
 
 class TestNearTieDiagnostic:
     def test_reports_constructed_tie(self):

@@ -45,6 +45,13 @@ _FAMILIES = {
 # Largest B*V*|S|: it keeps the four float64 solver tables to about 512 MiB.
 _MAX_SIZE = 1 << 24
 
+# Largest cost scale S = B*V*(max|h| + max|c| + max|r|).  An episode has at most
+# B*V slots, so every episode total, J, delta, sigma and solver intermediate is
+# within a few S.  The largest sum is the std of at most 2**26 totals: squared
+# deviations of up to (2S)**2 add to at most 2**28 * S**2 = 2**1022 at this S,
+# a factor 4 below the float64 overflow at 2**1024 that covers rounding.
+_MAX_COST_SCALE = 2.0 ** 497
+
 
 class ConfigError(ValueError):
     """Malformed, mistyped, or out-of-range configuration input."""
@@ -208,7 +215,8 @@ def validate(config: ModelConfig) -> ValidatedModel:
 
     Succeeds even when the non-decreasing assumptions fail (solvers do not
     need them); a non-positive reward entry is a hard error because the
-    model requires strictly positive completion rewards.
+    model requires strictly positive completion rewards, and so is a cost
+    scale above ``_MAX_COST_SCALE``, at which sums of costs could overflow.
     """
     h = materialize(config.holding, range(1, config.B + 1))
     c = materialize(config.service_cost, config.actions.values)
@@ -216,6 +224,10 @@ def validate(config: ModelConfig) -> ValidatedModel:
     if np.any(r <= 0.0):
         bad = int(np.flatnonzero(r <= 0.0)[0]) + 1
         raise ValidationError(f"reward must be strictly positive; r({bad}) = {r[bad - 1]}")
+    scale = config.B * config.V * sum(float(np.abs(t).max()) for t in (h, c, r))
+    if scale > _MAX_COST_SCALE:
+        raise ValidationError(f"cost scale B*V*(max|h| + max|c| + max|r|) = {scale:.6g} "
+                              f"exceeds the limit of {_MAX_COST_SCALE:.6g} (2**497)")
     flags = AssumptionFlags(
         h_nondecreasing=bool(np.all(np.diff(h) >= 0.0)),
         c_nondecreasing=bool(np.all(np.diff(c) >= 0.0)),

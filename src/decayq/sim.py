@@ -15,8 +15,9 @@ fixed block partition: episode i consumes stream positions
 [i*B*V, (i+1)*B*V).  The derivation depends only on (seed, episode index),
 so results are independent of execution order and bit-exactly replayable;
 ``simulate_episode`` replays episode 0 of that stream.
-The stream is drawn into one buffer, at most 16 MiB of whole episodes at a time,
-which gives the numbers of drawing it at once while bounding the buffer for any n.
+The stream is drawn in chunks of whole episodes into the halves of one 16 MiB buffer
+in turn, a worker thread drawing the next chunk while the current one steps; this
+gives the numbers of drawing it at once while bounding the buffer for any n.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import enum
 import json
 import math
 import mmap
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +44,8 @@ __all__ = [
     "step",
 ]
 
-# Byte budget of one chunk of Monte Carlo noise; 4 MiB chunks ran slower.
+# Byte budget of the Monte Carlo noise buffer, whose two halves hold one chunk
+# each (drawn serially, 4 MiB chunks once ran slower than 16 MiB ones).
 _NOISE_BYTES = 1 << 24
 
 # Largest n*B*V: 2**36 draws alone take 5 to 10 minutes on a 2-CPU Xeon.
@@ -163,10 +166,11 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
     """Total cost of each of n episodes under the block-partitioned stream.
 
     Episode i uses noise values W[i*L:(i+1)*L] of ``default_rng(seed)``,
-    L = B*V, drawn into one buffer in chunks of whole episodes, at most
-    ``_NOISE_BYTES`` each (or one episode): successive ``random(out=...)``
-    calls continue the stream of ``random(n*L)``.  A chunk steps in lockstep on
-    the ``_dynamics`` tables, keyed 2*id + success, until every id is in row 0.
+    L = B*V, drawn in chunks of whole episodes (at least one) into the two
+    halves of one ``_NOISE_BYTES`` buffer: successive ``random(out=...)`` calls
+    continue the stream of ``random(n*L)``.  A worker thread draws chunk i+1 while
+    chunk i steps in lockstep on the ``_dynamics`` tables, keyed 2*id + success,
+    until every id is in row 0; a failed draw is re-raised, and the worker joined.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an int >= 1, not {n!r}")
@@ -183,25 +187,43 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
     thr, win, lose, up, fail = _dynamics(model, b, v, policy.action_index[b, v])
     cost, nxt = np.column_stack([lose, win]).ravel(), np.column_stack([fail, up]).ravel()
     rng = np.random.default_rng(seed)
-    chunk = min(n, max(1, _NOISE_BYTES // (8 * L)))
+    chunk = min(n, max(1, _NOISE_BYTES // (16 * L)))
     # given back on return, unlike the malloc heap; huge pages cut TLB misses
-    noise = mmap.mmap(-1, 8 * chunk * L, flags=mmap.MAP_PRIVATE)
+    noise = mmap.mmap(-1, 16 * chunk * L, flags=mmap.MAP_PRIVATE)
     noise.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
-    total = np.zeros(n)
-    for start in range(0, n, chunk):
-        view = total[start:start + chunk]  # the last chunk may be shorter
-        W = rng.random(out=np.frombuffer(noise, count=view.size * L).reshape(-1, L))
-        run, ids = np.arange(len(W)), np.full(len(W), initial[0] * V1 + initial[1])
-        for t in range(L):
-            key = 2 * ids + (W[run, t] <= thr[ids])
-            view[run] += cost[key]
-            ids = nxt[key]
-            if not (going := ids >= V1).all():
-                run, ids = run[going], ids[going]
-                if not run.size:
-                    break
-        else:
-            raise AssertionError("episode failed to terminate within B*V slots")
+    halves, failed = np.frombuffer(noise).reshape(2, chunk, L), []
+
+    def draw(start):  # the chunk from episode start into its half; numpy frees the GIL
+        try:
+            rng.random(out=halves[start // chunk % 2, :min(chunk, n - start)])
+        except BaseException as exc:  # re-raised by the stepping thread
+            failed.append(exc)
+    total, worker = np.zeros(n), threading.Thread(target=draw, args=(0,))
+    worker.start()
+    try:
+        for start in range(0, n, chunk):
+            worker.join()
+            if failed:
+                raise failed[0]
+            if start + chunk < n:  # draw the next chunk while this one steps
+                worker = threading.Thread(target=draw, args=(start + chunk,))
+                worker.start()
+            view = total[start:start + chunk]  # the last chunk may be shorter
+            W = halves[start // chunk % 2, :view.size]
+            run, ids = np.arange(len(W)), np.full(len(W), initial[0] * V1 + initial[1])
+            for t in range(L):
+                key = 2 * ids + (W[run, t] <= thr[ids])
+                view[run] += cost[key]
+                ids = nxt[key]
+                if not (going := ids >= V1).all():
+                    run, ids = run[going], ids[going]
+                    if not run.size:
+                        break
+            else:
+                raise AssertionError("episode failed to terminate within B*V slots")
+    finally:
+        if worker.is_alive():  # a thread whose start failed has nothing to join
+            worker.join()
     return total
 
 

@@ -51,6 +51,17 @@ __all__ = [
 ]
 
 
+# What int and float take in a number text but to_csv never writes: '_' (1_0),
+# ASCII whitespace but the row separator, and any non-ASCII character (١).
+_NOT_WRITTEN = "_ \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _odd_text(text: str, start: int = 0) -> bool:
+    """Whether text holds a non-ASCII character, or text[start:] one of
+    ``_NOT_WRITTEN``; str.isascii and str.find copy nothing."""
+    return not text.isascii() or any(text.find(c, start) >= 0 for c in _NOT_WRITTEN)
+
+
 class ConvergenceError(RuntimeError):
     """Value iteration failed to converge within the sweep budget."""
 
@@ -125,9 +136,15 @@ def solution_from_csv(text: str) -> SolutionTable:
     The model is not recoverable from the file; the returned table has
     ``model=None`` and ``solver_id='csv'``.
     """
-    lines = text.strip().split("\n")
+    text = text.strip()
+    lines = text.split("\n")
     if lines[0] != "b,v,J,mu_index,mu_value,delta,sigma":
         raise ValueError(f"unexpected CSV header {lines[0]!r}")
+    if _odd_text(text, len(lines[0])):
+        n = next(n for n, line in enumerate(lines[1:], start=2) if _odd_text(line))
+        raise ValueError(f"line {n} {lines[n - 1]!r} has a character that to_csv never "
+                         "writes: whitespace, '_' or a non-ASCII one")
+    del text  # a copy of the file, not to be kept beside the rows below
     rows = [line.split(",") for line in lines[1:]]
     for n, r in enumerate(rows, start=2):
         if len(r) != 7:

@@ -219,6 +219,35 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: n*B*V = 10200 ")
 
 
+
+class TestCostScale:
+    """Models whose costs could overflow a sum exit 1 before any solve."""
+
+    def test_overflowing_costs_exit_one(self, tmp_path, config_file, capsys):
+        # before the bound, solve printed J(3,2) = nan and exited 0
+        doc = dict(FIG1A, B=3, V=2, actions=[0.5],
+                   holding={"kind": "constant", "params": [1e308]},
+                   service_cost={"kind": "constant", "params": [1e308]})
+        out = tmp_path / "solution.csv"
+        assert main(["solve", "--config", config_file(doc), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: cost scale B*V*(max|h| + max|c| + max|r|) = inf exceeds the limit "
+            "of 4.09174e+149 (2**497)\n")
+        assert not out.exists()
+
+    def test_squares_of_totals_overflowing_exit_one(self, config_file, capsys):
+        # before the bound, simulate printed std_error = inf and a z-score of 0.000
+        doc = dict(FIG1A, B=3, V=2, actions=[0.3, 0.6],
+                   holding={"kind": "constant", "params": [1e154]},
+                   service_cost={"kind": "linear", "params": [1e154]},
+                   reward={"kind": "constant", "params": [1]})
+        assert main(["simulate", "--config", config_file(doc), "--n", "1000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cost scale B*V*(max|h| + max|c| + max|r|) = 9.6e+154 exceeds the "
+            "limit of 4.09174e+149 (2**497)\n")
+
 class TestFigures:
     def test_produces_all_artifacts(self, tmp_path, capsys):
         out = tmp_path / "figs"

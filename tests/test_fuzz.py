@@ -2,22 +2,35 @@
 
 Whatever the bytes, a config is either a model or a ConfigError /
 ValidationError, a CSV body is either a solution or a ValueError, and the
-CLI exits 0 or 1 without a traceback.  Accepted models stay small: B, V <= 30
-and at most 5 actions, so every example runs in milliseconds.
+CLI exits 0 or 1 without a traceback; an accepted model's costs are small
+enough that nothing computed from them overflows.  Accepted models stay
+small: B, V <= 30 and at most 5 actions, so every example runs in
+milliseconds.
 """
 
 import contextlib
 import io
 import json
+import math
+import warnings
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import table_model
-from decayq import ConfigError, ValidationError, load_config, solution_from_csv, validate
+from decayq import (
+    ConfigError,
+    ValidationError,
+    load_config,
+    mc_estimate,
+    policy_iteration,
+    solution_from_csv,
+    solve_recursive,
+    validate,
+    value_iteration,
+)
 from decayq.cli import main
-from decayq.solver import solve_recursive
 
 # The schema as README gives it: each parametric kind and its parameter count.
 N_PARAMS = {"linear": 1, "affine": 2, "constant": 1, "log_barrier": 1, "log": 1}
@@ -109,6 +122,38 @@ def test_config_input_raises_only_config_or_validation_errors(text):
     except (ConfigError, ValidationError):
         return
     assert model.B <= 30 and model.V <= 30 and len(model.actions) <= 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), to_the_limit=st.booleans())
+def test_accepted_costs_keep_every_number_finite(data, to_the_limit):
+    """Cost magnitudes log-uniform from 1e-300 to past the cost-scale bound, or
+    scaled up to it: an accepted model gives finite numbers without a float
+    warning from every solver, the CSV round trip and Monte Carlo."""
+    B, V = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    actions = sorted(set(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))))
+
+    def table(size, signs):
+        return [data.draw(st.sampled_from(signs)) * 10.0 ** data.draw(st.floats(-300, 152))
+                for _ in range(size)]
+
+    h, c, r = table(B, (-1.0, 1.0)), table(len(actions), (-1.0, 1.0)), table(V, (1.0,))
+    if to_the_limit:
+        f = 2.0**497 / (B * V * (max(map(abs, h)) + max(map(abs, c)) + max(r)))
+        h, c, r = ([x * f * (1 - 1e-12) for x in t] for t in (h, c, r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            m = table_model(B, V, actions, h, c, r)
+        except ValidationError:
+            assert not to_the_limit
+            return
+        solutions = [solve(m) for solve in (solve_recursive, value_iteration, policy_iteration)]
+        for sol in solutions:
+            assert np.isfinite([sol.J, sol.delta, sol.sigma]).all()
+        solution_from_csv(solutions[0].to_csv())
+        est = mc_estimate(m, solutions[0].policy(), (B, V), 200, seed=1)
+        assert math.isfinite(est.mean) and math.isfinite(est.std_error)
 
 
 SMALL_CSV = solve_recursive(table_model(

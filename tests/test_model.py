@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,30 @@ class TestValidate:
         m = validate(load_config(FIG1A_DOC))
         assert len(m.h) == 20 and len(m.c) == 3 and len(m.r) == 10
 
+
+
+class TestCostScale:
+    def config(self, h, c=0.0, r=1.0):
+        return ModelConfig(B=2, V=4, actions=ActionSet((0.5,)),
+                           holding=CostSpec("constant", params=(h,)),
+                           service_cost=CostSpec("constant", params=(c,)),
+                           reward=CostSpec("constant", params=(r,)))
+
+    def test_exactly_at_limit_accepted(self):
+        # S = B*V*(|h| + |c| + |r|) = 8 * 2**494 = 2**497, whatever the signs of h and c
+        assert validate(self.config(2.0**493, 2.0**492, 2.0**492)).B == 2
+        assert validate(self.config(-(2.0**493), -(2.0**492), 2.0**492)).B == 2
+
+    @pytest.mark.parametrize("h, c, r, scale", [
+        (math.nextafter(2.0**494, math.inf), 0.0, 1.0, "4.09174e+149"),
+        (2.0**494, 2.0**492, 2.0**492, "6.13761e+149"),
+        (-(2.0**494), -(2.0**494), 1.0, "8.18348e+149"),
+        (1e308, 1e308, 1.0, "inf"),
+    ], ids=["one_ulp_over", "over", "negative_costs", "sum_overflows"])
+    def test_over_limit_rejected(self, h, c, r, scale):
+        with pytest.raises(ValidationError, match=rf"= {re.escape(scale)} exceeds the limit of "
+                                                  r"4\.09174e\+149 \(2\*\*497\)"):
+            validate(self.config(h, c, r))
 
 @given(
     h=st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=8),

@@ -3,6 +3,9 @@ Monte Carlo averages and exact policy values."""
 
 import json
 import math
+import mmap
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -423,3 +426,98 @@ class TestNoiseChunks:
         finally:
             tracemalloc.stop()
         assert peak < sim._NOISE_BYTES / 4
+
+
+class Injected(Exception):
+    """A failure planted in a draw or a step."""
+
+
+class RecordingRng:
+    """A ``default_rng(seed)`` stand-in that records the address and shape of
+    each ``out=`` buffer, raises Injected on call ``fail_at`` and sleeps
+    ``delay`` seconds in every call after the first."""
+
+    def __init__(self, rng, fail_at=None, delay=0.0):
+        self.rng, self.fail_at, self.delay, self.outs = rng, fail_at, delay, []
+
+    def random(self, out):
+        self.outs.append((out.ctypes.data, out.shape))
+        if len(self.outs) == self.fail_at:
+            raise Injected("draw failed")
+        if len(self.outs) > 1:
+            time.sleep(self.delay)
+        return self.rng.random(out=out)
+
+
+class TestDrawAhead:
+    """The worker thread that draws chunk i+1 while chunk i steps."""
+
+    def rigged(self, monkeypatch, chunk, fail_at=None, delay=0.0):
+        """A 2x3 model whose noise halves hold ``chunk`` episodes each, its
+        policy, the RecordingRngs that ``default_rng`` now makes, and the real
+        ``default_rng``."""
+        m = table_model(2, 3, [0.3, 0.7], h=[1.0, 2.0], c=[0.2, 0.9], r=[1.0, 2.0, 4.0])
+        pol = PolicyTable(action_index=np.array([[0] * 4, [0, 1, 0, 1], [0, 0, 1, 1]]))
+        monkeypatch.setattr(sim, "_NOISE_BYTES", 16 * 6 * chunk)
+        real, rngs = np.random.default_rng, []
+
+        def recording_rng(seed):
+            rngs.append(RecordingRng(real(seed), fail_at, delay))
+            return rngs[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        return m, pol, rngs, real
+
+    def test_halves_alternate_and_episodes_are_the_scalar_episodes(self, monkeypatch):
+        m, pol, rngs, real = self.rigged(monkeypatch, chunk=3)
+        got = episode_costs(m, pol, (2, 3), 10, seed=11)  # chunks of 3, 3, 3 and 1
+        (addr0, _), (addr1, _), *_ = outs = rngs[0].outs
+        assert addr0 != addr1
+        assert outs == [(addr0, (3, 6)), (addr1, (3, 6)), (addr0, (3, 6)), (addr1, (1, 6))]
+        monkeypatch.setattr(np.random, "default_rng", real)
+        stream = real(11)  # simulate_episode advances a Generator by B*V draws
+        want = [simulate_episode(m, pol, (2, 3), stream).total_cost for _ in range(10)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 4])
+    def test_failed_draw_surfaces_and_no_thread_outlives_the_call(self, monkeypatch,
+                                                                   fail_at):
+        m, pol, rngs, _ = self.rigged(monkeypatch, chunk=3, fail_at=fail_at)
+        before = threading.active_count()
+        with pytest.raises(Injected):
+            episode_costs(m, pol, (2, 3), 10, seed=11)
+        assert threading.active_count() == before
+        assert len(rngs[0].outs) == fail_at  # no chunk drawn past the failed one
+
+    def test_stepping_error_waits_for_the_draw_in_flight(self, monkeypatch):
+        # chunk 0 fails to step while chunk 1 is still being drawn
+        m, pol, rngs, _ = self.rigged(monkeypatch, chunk=3, delay=0.2)
+
+        def full(*args, **kwargs):
+            raise Injected("stepping failed")
+
+        monkeypatch.setattr(np, "full", full)
+        before = threading.active_count()
+        with pytest.raises(Injected, match="stepping failed"):
+            episode_costs(m, pol, (2, 3), 10, seed=11)
+        assert threading.active_count() == before
+        assert len(rngs[0].outs) == 2
+
+    def test_no_thread_outlives_a_returning_call(self, monkeypatch):
+        m, pol, _, _ = self.rigged(monkeypatch, chunk=2)
+        before = threading.active_count()
+        for n in (1, 2, 3, 9):
+            episode_costs(m, pol, (2, 3), n, seed=5)
+            assert threading.active_count() == before
+
+    def test_noise_map_within_the_budget(self, monkeypatch):
+        lengths, real = [], mmap.mmap
+        monkeypatch.setattr(mmap, "mmap", lambda fd, length, **kw:
+                            lengths.append(length) or real(fd, length, **kw))
+        m = validate(preset_by_id("1a").config)
+        pol = solve_recursive(m).policy()
+        for n in (1, 100_000):
+            episode_costs(m, pol, (m.B, m.V), n, seed=3)
+        assert lengths[0] == 16 * m.B * m.V  # two halves of one episode
+        assert 0.99 * sim._NOISE_BYTES < lengths[1] <= sim._NOISE_BYTES
+

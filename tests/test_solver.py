@@ -340,6 +340,20 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=rf"state \(1, 1\) has {message}"):
             solution_from_csv("\n".join([rows[0], ",".join(fields)] + rows[2:]) + "\n")
 
+    @pytest.mark.parametrize("field, text", [
+        (2, "1_0"), (3, "0_0"), (0, "\u0661"), (1, " \u0661 "), (6, "0.5\t"), (5, "\x0c1"),
+    ], ids=["underscore_J", "underscore_mu_index", "arabic_indic_b", "spaced_arabic_indic_v",
+            "tab", "form_feed"])
+    def test_number_text_that_to_csv_never_writes_rejected(self, field, text):
+        # int and float take all of these: 1_0 read as J = 10.0, \u0661 as 1
+        m = table_model(2, 2, [0.3, 0.6], h=[1.0, 2.0], c=[0.1, 0.5], r=[1.0, 2.0])
+        rows = solve_recursive(m).to_csv().strip().split("\n")
+        fields = rows[2].split(",")
+        fields[field] = text
+        with pytest.raises(ValueError, match=r"line 3 '.*' has a character that to_csv "
+                                             "never writes"):
+            solution_from_csv("\n".join(rows[:2] + [",".join(fields)] + rows[3:]) + "\n")
+
     def test_row_of_non_finite_numbers_rejected(self):
         text = "b,v,J,mu_index,mu_value,delta,sigma\n1,1,nan,0,0.5,inf,-inf\n0,1,0,,,,\n"
         with pytest.raises(ValueError, match=r"state \(1, 1\) has a J, delta or sigma "

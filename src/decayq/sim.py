@@ -16,8 +16,9 @@ fixed block partition: episode i consumes stream positions
 so results are independent of execution order and bit-exactly replayable;
 ``simulate_episode`` replays episode 0 of that stream.
 The stream is drawn in chunks of whole episodes into the halves of one 16 MiB buffer
-in turn, a worker thread drawing the next chunk while the current one steps; this
-gives the numbers of drawing it at once while bounding the buffer for any n.
+in turn, a one-worker executor drawing the next chunk while the current one steps;
+this gives the numbers of drawing it at once, and a chunk's noise and its stepping
+arrays each stay within 16 MiB for any n.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import enum
 import json
 import math
 import mmap
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +44,8 @@ __all__ = [
     "step",
 ]
 
-# Byte budget of the Monte Carlo noise buffer, whose two halves hold one chunk
-# each (drawn serially, 4 MiB chunks once ran slower than 16 MiB ones).
+# Byte budget of the noise buffer, whose two halves hold one chunk each, and of one
+# chunk's stepping arrays (drawn serially, 4 MiB chunks once ran slower than 16 MiB).
 _NOISE_BYTES = 1 << 24
 
 # Largest n*B*V: 2**36 draws alone take 5 to 10 minutes on a 2-CPU Xeon.
@@ -168,9 +168,10 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
     Episode i uses noise values W[i*L:(i+1)*L] of ``default_rng(seed)``,
     L = B*V, drawn in chunks of whole episodes (at least one) into the two
     halves of one ``_NOISE_BYTES`` buffer: successive ``random(out=...)`` calls
-    continue the stream of ``random(n*L)``.  A worker thread draws chunk i+1 while
-    chunk i steps in lockstep on the ``_dynamics`` tables, keyed 2*id + success,
-    until every id is in row 0; a failed draw is re-raised, and the worker joined.
+    continue the stream of ``random(n*L)``; a chunk's stepping arrays also fit in
+    ``_NOISE_BYTES``.  A one-worker executor draws chunk i+1 while chunk i steps in
+    lockstep on the ``_dynamics`` tables, keyed 2*id + success, until every id is
+    in row 0; a failed draw is re-raised, and no draw outlives the call.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an int >= 1, not {n!r}")
@@ -187,29 +188,25 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
     thr, win, lose, up, fail = _dynamics(model, b, v, policy.action_index[b, v])
     cost, nxt = np.column_stack([lose, win]).ravel(), np.column_stack([fail, up]).ravel()
     rng = np.random.default_rng(seed)
-    chunk = min(n, max(1, _NOISE_BYTES // (16 * L)))
+    # Stepping holds at most 50 B an episode: run, ids, the last key, 2*ids, the
+    # gathered noise and threshold (8 B each) and two masks; noise is 16 B a slot.
+    chunk = min(n, max(1, _NOISE_BYTES // max(16 * L, 50)))
     # given back on return, unlike the malloc heap; huge pages cut TLB misses
     noise = mmap.mmap(-1, 16 * chunk * L, flags=mmap.MAP_PRIVATE)
     noise.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
-    halves, failed = np.frombuffer(noise).reshape(2, chunk, L), []
+    halves, total = np.frombuffer(noise).reshape(2, chunk, L), np.zeros(n)
 
     def draw(start):  # the chunk from episode start into its half; numpy frees the GIL
-        try:
-            rng.random(out=halves[start // chunk % 2, :min(chunk, n - start)])
-        except BaseException as exc:  # re-raised by the stepping thread
-            failed.append(exc)
-    total, worker = np.zeros(n), threading.Thread(target=draw, args=(0,))
-    worker.start()
-    try:
+        return rng.random(out=halves[start // chunk % 2, :min(chunk, n - start)])
+    # imported here: with the logging it loads, it would add 5-8 ms to every command
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) as worker:  # leaving waits for a draw
+        drawn = worker.submit(draw, 0)
         for start in range(0, n, chunk):
-            worker.join()
-            if failed:
-                raise failed[0]
+            W = drawn.result()  # re-raises a failed draw
             if start + chunk < n:  # draw the next chunk while this one steps
-                worker = threading.Thread(target=draw, args=(start + chunk,))
-                worker.start()
-            view = total[start:start + chunk]  # the last chunk may be shorter
-            W = halves[start // chunk % 2, :view.size]
+                drawn = worker.submit(draw, start + chunk)
+            view = total[start:start + len(W)]
             run, ids = np.arange(len(W)), np.full(len(W), initial[0] * V1 + initial[1])
             for t in range(L):
                 key = 2 * ids + (W[run, t] <= thr[ids])
@@ -221,9 +218,6 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
                         break
             else:
                 raise AssertionError("episode failed to terminate within B*V slots")
-    finally:
-        if worker.is_alive():  # a thread whose start failed has nothing to join
-            worker.join()
     return total
 
 

@@ -54,6 +54,8 @@ __all__ = [
 # What int and float take in a number text but to_csv never writes: '_' (1_0),
 # ASCII whitespace but the row separator, and any non-ASCII character (١).
 _NOT_WRITTEN = "_ \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+# The CSV format's fixed lines: its header and its last row, V being the grid's.
+_CSV_HEADER, _CSV_TERMINAL = "b,v,J,mu_index,mu_value,delta,sigma", "0,V,0,,,,"
 
 
 def _odd_text(text: str, start: int = 0) -> bool:
@@ -118,7 +120,7 @@ class SolutionTable:
             raise ValueError("cannot export a solution without its model")
         action_text = [repr(a) for a in self.model.actions.tolist()]
         out = io.StringIO()
-        out.write("b,v,J,mu_index,mu_value,delta,sigma\n")
+        out.write(_CSV_HEADER + "\n")
         for b in range(1, self.B + 1):
             # .tolist() gives Python floats, whose repr is that of float(np.float64)
             rows = zip(self.J[b, 1:].tolist(), self.mu[b, 1:].tolist(),
@@ -126,7 +128,7 @@ class SolutionTable:
             out.write("".join(
                 f"{b},{v},{j!r},{a},{action_text[a]},{d!r},{sg!r}\n"
                 for v, (j, a, d, sg) in enumerate(rows, start=1)))
-        out.write(f"0,{self.V},0,,,,\n")
+        out.write(_CSV_TERMINAL.replace("V", str(self.V)) + "\n")
         return out.getvalue()
 
 
@@ -138,7 +140,7 @@ def solution_from_csv(text: str) -> SolutionTable:
     """
     text = text.strip()
     lines = text.split("\n")
-    if lines[0] != "b,v,J,mu_index,mu_value,delta,sigma":
+    if lines[0] != _CSV_HEADER:
         raise ValueError(f"unexpected CSV header {lines[0]!r}")
     if _odd_text(text, len(lines[0])):
         n = next(n for n, line in enumerate(lines[1:], start=2) if _odd_text(line))
@@ -155,8 +157,8 @@ def solution_from_csv(text: str) -> SolutionTable:
     if terminal[0] != "0":
         raise ValueError("terminal row missing")
     V = int(terminal[1]) if terminal[1].isdecimal() else -1
-    if terminal != ["0", str(V), "0", "", "", "", ""]:
-        raise ValueError(f"terminal row {','.join(terminal)!r} is not of the form 0,V,0,,,,")
+    if lines[-1] != _CSV_TERMINAL.replace("V", str(V)):
+        raise ValueError(f"terminal row {lines[-1]!r} is not of the form {_CSV_TERMINAL}")
     B = max(int(r[0]) for r in body)
     if len(body) != B * V:
         raise ValueError(f"{len(body)} policy rows for the {B}x{V} state grid")
@@ -348,15 +350,13 @@ def value_iteration(model: ValidatedModel, tol: float = 1e-9,
             or max_sweeps < 1:
         raise ValueError(f"max_sweeps must be an int >= 1, not {max_sweeps!r}")
     J = np.zeros((model.B + 1, model.V + 1))
-    residual = np.inf
-    sweeps = 0
-    while residual > tol:
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(
-                f"no convergence after {max_sweeps} sweeps; sup-norm residual {residual:g}"
-            )
+    for sweeps in range(1, max_sweeps + 1):
         residual, mu = _backward_pass(model, J)
-        sweeps += 1
+        if residual <= tol:
+            break
+    else:
+        raise ConvergenceError(f"no convergence after {max_sweeps} sweeps; "
+                               f"sup-norm residual {residual:g}")
     delta, sigma = _increments_from_J(J)
     return SolutionTable(J=J, mu=mu, delta=delta, sigma=sigma,
                          solver_id="value_iteration", model=model, sweeps=sweeps)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -289,3 +291,16 @@ class TestFigures:
         assert main(["figures", "--out", str(d2)]) == 0
         for name in os.listdir(d1):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
+def test_import_loads_no_logging_or_executor():
+    # concurrent.futures, and the logging it loads, would add 5-8 ms to every
+    # command; episode_costs imports it when it runs
+    code = ("import sys, decayq.cli; "
+            "print(sorted({'logging', 'concurrent.futures'} & set(sys.modules)))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out == "[]\n"

@@ -413,6 +413,20 @@ class TestNoiseChunks:
             tracemalloc.stop()
         assert peak < 1.5 * sim._NOISE_BYTES
 
+    def test_stepping_arrays_within_the_budget(self):
+        # With B*V = 1 the noise alone once set the chunk at 2**20 episodes, and
+        # its stepping arrays took about 42 MiB beside the 8 MiB of totals.
+        m = table_model(1, 1, [0.5], h=[1.0], c=[0.5], r=[2.0])
+        pol = PolicyTable(action_index=np.zeros((2, 2), dtype=int))
+        n = 1 << 20
+        tracemalloc.start()
+        try:
+            episode_costs(m, pol, (1, 1), n, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n + 1.5 * sim._NOISE_BYTES
+
     def test_noise_is_not_allocated_by_numpy(self):
         # Noise drawn into numpy arrays lands in the malloc heap, which then
         # kept 32 MiB of freed chunks between calls, so the peak memory of a

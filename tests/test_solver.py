@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_optimal, random_model, table_model
 from decayq import (
+    ConvergenceError,
     Direction,
     Guarantee,
     MonotonicityReport,
@@ -193,6 +194,15 @@ class TestValueIteration:
 
     def test_max_sweeps_accepts_numpy_int(self):
         assert value_iteration(fig_model("1a"), max_sweeps=np.int64(2)).sweeps == 2
+
+    def test_sweep_budget_spent_raises_with_the_residual(self):
+        # the first sweep is exact but only the second certifies it
+        with pytest.raises(ConvergenceError) as err:
+            value_iteration(fig_model("1a"), max_sweeps=1)
+        assert str(err.value) == "no convergence after 1 sweeps; sup-norm residual 286.622"
+
+    def test_first_sweep_within_tol_returns(self):
+        assert value_iteration(fig_model("1a"), tol=1e300, max_sweeps=1).sweeps == 1
 
 
 class TestPolicyIteration:

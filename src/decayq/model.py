@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -174,7 +175,7 @@ class ValidatedModel:
     def V(self) -> int:
         return self.config.V
 
-    @property
+    @cached_property  # converted once: the passes read it per row or block
     def actions(self) -> np.ndarray:
         return np.asarray(self.config.actions.values)
 

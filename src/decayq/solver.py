@@ -10,13 +10,14 @@ optimal policy mu:
     improvement.
 
 Both iterations are built on one backward pass in (b, v) ascending order,
-exact in one sweep since (b, v) leads only to (b, v-1) or (b-1, V); VI still
-counts one exact sweep plus one that certifies convergence.  The pass does
-its numpy arithmetic once per row b, not per state: one array holds the part
-(c(s) + h(b)) + s*(J(b-1, V) - r(v)) of every action value for every v, a
-chain over v on Python floats adds (1-s)*J(b, v-1), and one argmin over the
-row gives the greedy policy.  These are the float operations of a single
-backup in the same order, so the pass is bitwise a state-by-state sweep.
+exact in one sweep since (b, v) leads only to (b, v-1) or (b-1, V).  A chain
+on Python floats sets J: with a fixed policy, from table-wide gathers of the
+chosen actions' terms; greedy (VI's first sweep only), as the first minimum
+over one numpy row base per row b.  The greedy policy against the new J is
+then one blocked argmin over every action's value.  These are the float
+operations of a single backup in its order, so the pass is bitwise a
+state-by-state sweep.  Later VI sweeps follow the last greedy policy, and
+still count the one exact sweep plus one that certifies it.
 
 Every solver returns the same ``SolutionTable`` contract, including the
 increment tables delta and sigma (reconstructed from J differences when not
@@ -56,6 +57,7 @@ __all__ = [
 _NOT_WRITTEN = "_ \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
 # The CSV format's fixed lines: its header and its last row, V being the grid's.
 _CSV_HEADER, _CSV_TERMINAL = "b,v,J,mu_index,mu_value,delta,sigma", "0,V,0,,,,"
+_BLOCK = 2 ** 16  # floats or states in one block of the passes: bounded memory
 
 
 def _odd_text(text: str, start: int = 0) -> bool:
@@ -118,16 +120,16 @@ class SolutionTable:
         """
         if self.model is None:
             raise ValueError("cannot export a solution without its model")
-        action_text = [repr(a) for a in self.model.actions.tolist()]
+        action_text = [f"{a},{s!r}" for a, s in enumerate(self.model.actions.tolist())]
+        v_text = [f",{v}," for v in range(1, self.V + 1)]
         out = io.StringIO()
         out.write(_CSV_HEADER + "\n")
         for b in range(1, self.B + 1):
             # .tolist() gives Python floats, whose repr is that of float(np.float64)
-            rows = zip(self.J[b, 1:].tolist(), self.mu[b, 1:].tolist(),
+            rows = zip(v_text, self.J[b, 1:].tolist(), self.mu[b, 1:].tolist(),
                        self.delta[b, 1:].tolist(), self.sigma[b, 1:].tolist())
-            out.write("".join(
-                f"{b},{v},{j!r},{a},{action_text[a]},{d!r},{sg!r}\n"
-                for v, (j, a, d, sg) in enumerate(rows, start=1)))
+            out.write("".join([f"{b}{vt}{j!r},{action_text[a]},{d!r},{sg!r}\n"
+                               for vt, j, a, d, sg in rows]))
         out.write(_CSV_TERMINAL.replace("V", str(self.V)) + "\n")
         return out.getvalue()
 
@@ -258,10 +260,18 @@ def solve_recursive(model: ValidatedModel) -> SolutionTable:
                          solver_id="recursive", model=model)
 
 
-def _row_base(model: ValidatedModel, b: int, down, r) -> np.ndarray:
-    """The continuation-free part of the action values in row b, one row per
-    entry of r: (c(s) + h(b)) + s*(down - r), with down = J(b-1, V)."""
-    return (model.c + model.h_of(b)) + model.actions * (down - r)[:, None]
+def _row_base(model: ValidatedModel, b, down, r) -> np.ndarray:
+    """(c(s) + h(b)) + s*(down - r), down = J(b-1, V): the action values less
+    their continuation term.  b, down and r broadcast; actions are the last axis."""
+    return (model.c + model.h[b - 1][..., None]) + model.actions * (down - r)[..., None]
+
+
+def _action_values(model: ValidatedModel, J: np.ndarray, b, v) -> np.ndarray:
+    """Every action's value at the states (b, v), broadcast, against J:
+    the row base plus (1-s)*J(b, v-1), or (1-s)*J(b-1, V) when v = 1."""
+    down = J[b - 1, model.V]
+    cont = np.where(v > 1, J[b, v - 1], down)
+    return _row_base(model, b, down, model.r[v - 1]) + (1.0 - model.actions) * cont[..., None]
 
 
 def bellman_backup(model: ValidatedModel, J: np.ndarray, b: int, v: int) -> tuple[float, int]:
@@ -271,9 +281,7 @@ def bellman_backup(model: ValidatedModel, J: np.ndarray, b: int, v: int) -> tupl
     when v = 1."""
     if not (1 <= b <= model.B and 1 <= v <= model.V):
         raise ValueError(f"state ({b}, {v}) outside [1, {model.B}] x [1, {model.V}]")
-    down = J[b - 1, model.V]
-    cont = J[b, v - 1] if v > 1 else down
-    vals = _row_base(model, b, down, model.r[v - 1:v])[0] + (1.0 - model.actions) * cont
+    vals = _action_values(model, J, b, v)
     a = int(np.argmin(vals))
     return float(vals[a]), a
 
@@ -291,38 +299,44 @@ def _check_policy(model: ValidatedModel, action_index: np.ndarray) -> None:
         raise ValueError(f"policy action index outside [0, {k})")
 
 
+def _fixed_chain(model: ValidatedModel, J: np.ndarray, fixed: np.ndarray) -> None:
+    """Set J[b, v] to the value of action fixed[b, v] in DAG order.  Gathers
+    over blocks of rows give Python floats, so a state is one Python line."""
+    keep, r, V = 1.0 - model.actions, model.r.tolist(), model.V
+    cont, step = J[0, V].item(), max(1, _BLOCK // V)  # rows per block
+    for lo in range(1, model.B + 1, step):
+        a, rows = fixed[lo:lo + step, 1:], []
+        x = (model.c[a] + model.h[lo - 1:lo - 1 + step, None]).tolist()
+        for xb, sb, kb in zip(x, model.actions[a].tolist(), keep[a].tolist()):
+            down = cont  # J(b-1, V); v = 1 ejects there too
+            rows.append([cont := (xs + ss * (down - rv)) + ks * cont
+                         for xs, ss, ks, rv in zip(xb, sb, kb, r)])
+        J[lo:lo + step, 1:] = rows
+
+
 def _backward_pass(model: ValidatedModel, J: np.ndarray,
                    fixed: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """One in-place sweep in DAG order (b, then v, ascending), setting J[b, v]
     to the greedy minimum or to the value of action ``fixed[b, v]``.  Each
     state reads only (b, v-1) and (b-1, V), already final, so one pass is
-    exact.  Returns the sup-norm change of J and the greedy policy.  The
-    float operations are those of ``bellman_backup``, in its order."""
-    V = model.V
-    keep_arr = 1.0 - model.actions
-    keep = keep_arr.tolist()
+    exact.  Returns the sup-norm change of J and the greedy policy against
+    the new J, one argmin per block of at most _BLOCK floats."""
+    old, B, V = J.copy(), model.B, model.V
+    step = max(1, _BLOCK // len(model.c))  # v's or states per block
+    if fixed is not None:
+        _fixed_chain(model, J, fixed)
+    else:  # one row base per row b, then a first-minimum chain over v
+        keep = (1.0 - model.actions).tolist()
+        for b in range(1, B + 1):
+            cont = J[b - 1, V].item()  # v = 1 ejects to (b-1, V)
+            base = _row_base(model, b, cont, model.r)
+            J[b, 1:] = [cont := min([xs + k * cont for xs, k in zip(x, keep)])
+                        for lo in range(0, V, step) for x in base[lo:lo + step].tolist()]
     mu = np.zeros(J.shape, dtype=int)
-    residual = 0.0
-    for b in range(1, model.B + 1):
-        down = J[b - 1, V].item()
-        base = _row_base(model, b, down, model.r)
-        row = J[b].tolist()  # row[0] is padding and is written back unchanged
-        chosen = None if fixed is None else fixed[b].tolist()
-        cont = down
-        for v, x in enumerate(base, start=1):
-            x = x.tolist()  # one v at a time: all V x |S| as Python floats could be huge
-            if chosen is None:
-                new = min([xs + k * cont for xs, k in zip(x, keep)])  # first minimum
-            else:
-                a = chosen[v]
-                new = x[a] + keep[a] * cont
-            residual = max(residual, abs(new - row[v]))
-            row[v] = cont = new
-        J[b] = row
-        # the chain's values again, for every v at once; argmin takes the first minimum
-        base += keep_arr * np.array([down] + row[1:V])[:, None]
-        mu[b, 1:] = np.argmin(base, axis=1)
-    return residual, mu
+    for lo in range(0, B * V, step):
+        b, v = np.divmod(np.arange(lo, min(lo + step, B * V)), V)
+        mu[b + 1, v + 1] = _action_values(model, J, b + 1, v + 1).argmin(axis=1)
+    return float(np.abs(J - old).max()), mu
 
 
 def _increments_from_J(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,8 +351,12 @@ def value_iteration(model: ValidatedModel, tol: float = 1e-9,
                     max_sweeps: int | None = None) -> SolutionTable:
     """Solve by in-place Bellman sweeps from J = 0.
 
-    Each sweep is one backward pass, so the first sweep is already exact and
-    the second certifies convergence; mu is the last sweep's greedy policy.
+    The first sweep is greedy and exact; each later one follows the last
+    sweep's greedy policy (modified policy iteration) and stops once the
+    residual is at most tol and the greedy policy is the one followed.  This
+    changes no output of all-greedy sweeps: by induction over the DAG, sweep
+    2 along mu_1 recomputes J_1 bit for bit (the first minimum of the same
+    floats), so its residual is 0 and its greedy policy is mu_1 again.
     ``max_sweeps`` defaults to B*V + 1, which bounds any sweep order since
     every episode ends within B*V slots.
     """
@@ -350,10 +368,12 @@ def value_iteration(model: ValidatedModel, tol: float = 1e-9,
             or max_sweeps < 1:
         raise ValueError(f"max_sweeps must be an int >= 1, not {max_sweeps!r}")
     J = np.zeros((model.B + 1, model.V + 1))
+    followed = None
     for sweeps in range(1, max_sweeps + 1):
-        residual, mu = _backward_pass(model, J)
-        if residual <= tol:
+        residual, mu = _backward_pass(model, J, followed)
+        if residual <= tol and (followed is None or np.array_equal(mu, followed)):
             break
+        followed = mu
     else:
         raise ConvergenceError(f"no convergence after {max_sweeps} sweeps; "
                                f"sup-norm residual {residual:g}")
@@ -363,10 +383,10 @@ def value_iteration(model: ValidatedModel, tol: float = 1e-9,
 
 
 def evaluate_policy(model: ValidatedModel, policy: PolicyTable) -> np.ndarray:
-    """Exact expected total cost of a fixed policy: one backward pass."""
+    """Exact expected total cost of a fixed policy: one fixed-policy chain."""
     _check_policy(model, policy.action_index)
     J = np.zeros((model.B + 1, model.V + 1))
-    _backward_pass(model, J, fixed=policy.action_index)
+    _fixed_chain(model, J, policy.action_index)
     return J
 
 

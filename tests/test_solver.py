@@ -34,6 +34,7 @@ from decayq import (
 from decayq.cli import _boundaries
 from decayq.monotone import RowClass
 from decayq.presets import FIGURE_PRESETS, preset_by_id
+from decayq import solver
 from decayq.solver import _backward_pass
 
 
@@ -590,3 +591,96 @@ class TestArrayKernelsMatchLoops:
         back = solution_from_csv(sol.to_csv())
         for name in ("J", "mu", "delta", "sigma"):
             assert getattr(back, name).tobytes() == getattr(sol, name).tobytes(), name
+
+
+def reference_value_iteration(model, tol):
+    """All-greedy reference sweeps from J = 0 until the residual is at most tol."""
+    J = np.zeros((model.B + 1, model.V + 1))
+    for sweeps in range(1, model.B * model.V + 2):
+        residual, mu = reference_backward_pass(model, J)
+        if residual <= tol:
+            return J, mu, sweeps
+    raise AssertionError("reference value iteration did not converge")
+
+
+def reference_policy_iteration(model):
+    """Fixed-policy reference passes, each followed by its greedy argmin."""
+    J = np.zeros((model.B + 1, model.V + 1))
+    mu = np.zeros(J.shape, dtype=int)
+    for iterations in range(1, 10 ** 6):
+        _, improved = reference_backward_pass(model, J, mu)
+        if np.array_equal(improved, mu):
+            return J, mu, iterations
+        mu = improved
+    raise AssertionError("reference policy iteration did not terminate")
+
+
+def assert_iterations_match_reference_loops(model, policy):
+    for tol in (1e-9, 1e300):
+        sol, (J, mu, sweeps) = value_iteration(model, tol=tol), reference_value_iteration(model, tol)
+        assert (sol.J.tobytes(), sol.mu.tobytes(), sol.sweeps) == (J.tobytes(), mu.tobytes(), sweeps)
+    sol, (J, mu, iterations) = policy_iteration(model), reference_policy_iteration(model)
+    assert (sol.J.tobytes(), sol.mu.tobytes(), sol.sweeps) == (J.tobytes(), mu.tobytes(), iterations)
+    J = np.zeros(policy.shape)
+    reference_backward_pass(model, J, policy)
+    assert evaluate_policy(model, PolicyTable(policy)).tobytes() == J.tobytes()
+
+
+class TestIterationsFollowGreedyPolicy:
+    @settings(max_examples=100, deadline=None)
+    @given(model=models(), seed=st.integers(0, 2**32 - 1))
+    @example(model=NEG_ZERO, seed=0)
+    @example(model=TWO_IN_B_DROPS, seed=1)
+    def test_bitwise_equal_to_reference_loops(self, model, seed):
+        rng = np.random.default_rng(seed)
+        policy = rng.integers(0, len(model.actions), size=(model.B + 1, model.V + 1))
+        assert_iterations_match_reference_loops(model, policy)
+
+    def test_bitwise_equal_to_reference_loops_at_benchmark_scale(self):
+        rng = np.random.default_rng(89)
+        model = random_model(rng, shape=(60, 40, 8))
+        assert_iterations_match_reference_loops(model, rng.integers(0, 8, size=(61, 41)))
+
+    def test_block_boundaries(self):
+        # 2x3 with 2**15 actions: the greedy chain's v-blocks (two v's) and the
+        # greedy policy's state blocks (two states, one across rows) both split
+        rng = np.random.default_rng(97)
+        s = np.arange(2 ** 15) / 2 ** 15
+        c = np.round(5.0 * s ** 2 + rng.uniform(0.0, 0.5, s.size), 1)  # ties on a 0.1 grid
+        model = table_model(2, 3, s.tolist(), [1.0, 2.5], c.tolist(), [1.5, 2.0, 4.0])
+        assert 1 < solver._BLOCK // len(model.actions) < min(model.V, model.B * model.V)
+        fixed = rng.integers(0, len(model.actions), size=(model.B + 1, model.V + 1))
+        for J0 in (np.zeros(fixed.shape), rng.normal(size=fixed.shape)):
+            assert_passes_bitwise_equal(model, J0)
+            assert_passes_bitwise_equal(model, J0, fixed)
+
+    def test_fixed_chain_row_blocks(self):
+        # 2**15 + 1 rows of V = 2: the fixed-policy chain's row blocks split
+        rng = np.random.default_rng(103)
+        model = random_model(rng, shape=(2 ** 15 + 1, 2, 2))
+        assert 1 < solver._BLOCK // model.V < model.B
+        fixed = rng.integers(0, 2, size=(model.B + 1, model.V + 1))
+        assert_passes_bitwise_equal(model, rng.normal(size=fixed.shape), fixed)
+
+    def test_only_the_first_value_iteration_sweep_takes_greedy_minima(self, monkeypatch):
+        # _row_base runs once per row b in a greedy chain (a scalar b) and
+        # once per block of the greedy policy (an array of b); at 60x40x8 the
+        # greedy policy is one block.  Greedy minima in any later sweep, or
+        # in a fixed-policy pass, would add row calls.
+        calls = {"rows": 0, "blocks": 0}
+        row_base = solver._row_base
+
+        def counted(model, b, down, r):
+            calls["rows" if np.ndim(b) == 0 else "blocks"] += 1
+            return row_base(model, b, down, r)
+
+        monkeypatch.setattr(solver, "_row_base", counted)
+        model = random_model(np.random.default_rng(101), shape=(60, 40, 8))
+        sol = value_iteration(model)
+        assert sol.sweeps == 2 and calls == {"rows": model.B, "blocks": 2}
+        calls.update(rows=0, blocks=0)
+        sol = policy_iteration(model)
+        assert calls == {"rows": 0, "blocks": sol.sweeps}
+        calls.update(rows=0, blocks=0)
+        evaluate_policy(model, sol.policy())
+        assert calls == {"rows": 0, "blocks": 0}

@@ -1,23 +1,16 @@
 """Optimal-policy solvers for the value-decay queue.
 
-Three mutually cross-checking routes compute the optimal cost-to-go J and
-optimal policy mu:
-
-  * ``solve_recursive`` runs the increment recursion (delta/sigma), which
-    characterizes the Bellman equation exactly in B*V*|S| evaluations;
-  * ``value_iteration`` repeats Bellman sweeps until the residual is at most tol;
-  * ``policy_iteration`` alternates exact policy evaluation with greedy
-    improvement.
-
-Both iterations are built on one backward pass in (b, v) ascending order,
-exact in one sweep since (b, v) leads only to (b, v-1) or (b-1, V).  A chain
-on Python floats sets J: with a fixed policy, from table-wide gathers of the
-chosen actions' terms; greedy (VI's first sweep only), as the first minimum
-over one numpy row base per row b.  The greedy policy against the new J is
-then one blocked argmin over every action's value.  These are the float
-operations of a single backup in its order, so the pass is bitwise a
-state-by-state sweep.  Later VI sweeps follow the last greedy policy, and
-still count the one exact sweep plus one that certifies it.
+Three routes compute the optimal cost-to-go J and optimal policy mu:
+``solve_recursive`` runs the increment recursion (delta/sigma), exact in
+B*V*|S| evaluations; ``value_iteration`` repeats Bellman sweeps until the
+residual is at most tol; ``policy_iteration`` alternates exact evaluation
+with greedy improvement.  The recursion and the Bellman fixed point are
+independent; the iterations reach that fixed point from different starts.
+Both are built on one exact fixed-policy pass in DAG order ((b, v) leads
+only to (b, v-1) or (b-1, V)): a Python-float chain over table-wide gathers
+sets J, then one blocked argmin gives the greedy policy, with the float
+operations of a backup in its order.  A greedy sweep repeats the pass along
+the last greedy policy until that is the policy followed.
 
 Every solver returns the same ``SolutionTable`` contract, including the
 increment tables delta and sigma (reconstructed from J differences when not
@@ -31,6 +24,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -260,18 +254,14 @@ def solve_recursive(model: ValidatedModel) -> SolutionTable:
                          solver_id="recursive", model=model)
 
 
-def _row_base(model: ValidatedModel, b, down, r) -> np.ndarray:
-    """(c(s) + h(b)) + s*(down - r), down = J(b-1, V): the action values less
-    their continuation term.  b, down and r broadcast; actions are the last axis."""
-    return (model.c + model.h[b - 1][..., None]) + model.actions * (down - r)[..., None]
-
-
 def _action_values(model: ValidatedModel, J: np.ndarray, b, v) -> np.ndarray:
     """Every action's value at the states (b, v), broadcast, against J:
-    the row base plus (1-s)*J(b, v-1), or (1-s)*J(b-1, V) when v = 1."""
-    down = J[b - 1, model.V]
+    ((c(s) + h(b)) + s*(down - r(v))) + (1-s)*cont with down = J(b-1, V)
+    and cont = J(b, v-1), or down when v = 1.  Actions are the last axis."""
+    down, s = J[b - 1, model.V], model.actions
     cont = np.where(v > 1, J[b, v - 1], down)
-    return _row_base(model, b, down, model.r[v - 1]) + (1.0 - model.actions) * cont[..., None]
+    return ((model.c + model.h[b - 1][..., None]) + s * (down - model.r[v - 1])[..., None]
+            + (1.0 - s) * cont[..., None])
 
 
 def bellman_backup(model: ValidatedModel, J: np.ndarray, b: int, v: int) -> tuple[float, int]:
@@ -314,28 +304,41 @@ def _fixed_chain(model: ValidatedModel, J: np.ndarray, fixed: np.ndarray) -> Non
         J[lo:lo + step, 1:] = rows
 
 
-def _backward_pass(model: ValidatedModel, J: np.ndarray,
-                   fixed: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+def _policy_passes(model: ValidatedModel, J: np.ndarray, policy: np.ndarray | None = None,
+                   most: int | None = None) -> tuple[int, np.ndarray]:
+    """Fixed-policy passes, the first along ``policy`` (default: the lowest
+    action) and each later one along the greedy policy of the one before,
+    until that is the policy followed or ``most`` passes ran.  Returns the
+    pass count and the last greedy policy, one argmin per block of at most
+    _BLOCK floats.  A pass that follows its own greedy policy has the greedy
+    minima as J, bit for bit: by induction in DAG order each state's inputs
+    are the greedy sweep's, and it follows their first minimum.  Each other
+    pass's greedy policy is optimal through the first state where the one
+    followed was not, so at most B*V + 1 passes run."""
+    policy = np.zeros(J.shape, dtype=int) if policy is None else policy
+    B, V, step = model.B, model.V, max(1, _BLOCK // len(model.c))  # states per block
+    for passes in count(1):
+        _fixed_chain(model, J, policy)
+        mu = np.zeros(J.shape, dtype=int)
+        for lo in range(0, B * V, step):
+            b, v = np.divmod(np.arange(lo, min(lo + step, B * V)), V)
+            mu[b + 1, v + 1] = _action_values(model, J, b + 1, v + 1).argmin(axis=1)
+        if passes == most or np.array_equal(mu[1:, 1:], policy[1:, 1:]):
+            return passes, mu
+        policy = mu
+
+
+def _backward_pass(model: ValidatedModel, J: np.ndarray, fixed: np.ndarray | None = None,
+                   *, start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """One in-place sweep in DAG order (b, then v, ascending), setting J[b, v]
     to the greedy minimum or to the value of action ``fixed[b, v]``.  Each
     state reads only (b, v-1) and (b-1, V), already final, so one pass is
     exact.  Returns the sup-norm change of J and the greedy policy against
-    the new J, one argmin per block of at most _BLOCK floats."""
-    old, B, V = J.copy(), model.B, model.V
-    step = max(1, _BLOCK // len(model.c))  # v's or states per block
-    if fixed is not None:
-        _fixed_chain(model, J, fixed)
-    else:  # one row base per row b, then a first-minimum chain over v
-        keep = (1.0 - model.actions).tolist()
-        for b in range(1, B + 1):
-            cont = J[b - 1, V].item()  # v = 1 ejects to (b-1, V)
-            base = _row_base(model, b, cont, model.r)
-            J[b, 1:] = [cont := min([xs + k * cont for xs, k in zip(x, keep)])
-                        for lo in range(0, V, step) for x in base[lo:lo + step].tolist()]
-    mu = np.zeros(J.shape, dtype=int)
-    for lo in range(0, B * V, step):
-        b, v = np.divmod(np.arange(lo, min(lo + step, B * V)), V)
-        mu[b + 1, v + 1] = _action_values(model, J, b + 1, v + 1).argmin(axis=1)
+    the new J.  The greedy sweep is ``_policy_passes`` from ``start``, which
+    sets how many passes run, never an output."""
+    old = J.copy()
+    _, mu = _policy_passes(model, J, start) if fixed is None else \
+        _policy_passes(model, J, fixed, most=1)
     return float(np.abs(J - old).max()), mu
 
 
@@ -354,11 +357,13 @@ def value_iteration(model: ValidatedModel, tol: float = 1e-9,
     The first sweep is greedy and exact; each later one follows the last
     sweep's greedy policy (modified policy iteration) and stops once the
     residual is at most tol and the greedy policy is the one followed.  This
-    changes no output of all-greedy sweeps: by induction over the DAG, sweep
-    2 along mu_1 recomputes J_1 bit for bit (the first minimum of the same
-    floats), so its residual is 0 and its greedy policy is mu_1 again.
-    ``max_sweeps`` defaults to B*V + 1, which bounds any sweep order since
-    every episode ends within B*V slots.
+    changes no output of all-greedy sweeps: sweep 2 along mu_1 recomputes J_1
+    bit for bit (see ``_policy_passes``), so its residual is 0 and its greedy
+    policy is mu_1 again.  ``max_sweeps`` defaults to B*V + 1, which bounds
+    any sweep order since every episode ends within B*V slots.
+    The greedy sweep starts from ``solve_recursive``'s policy, so it is
+    usually one pass.  That start is only a hint: it sets how many passes
+    run, never an output, so the result does not rest on the recursion.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
@@ -368,9 +373,9 @@ def value_iteration(model: ValidatedModel, tol: float = 1e-9,
             or max_sweeps < 1:
         raise ValueError(f"max_sweeps must be an int >= 1, not {max_sweeps!r}")
     J = np.zeros((model.B + 1, model.V + 1))
-    followed = None
+    start, followed = solve_recursive(model).mu, None
     for sweeps in range(1, max_sweeps + 1):
-        residual, mu = _backward_pass(model, J, followed)
+        residual, mu = _backward_pass(model, J, followed, start=start)
         if residual <= tol and (followed is None or np.array_equal(mu, followed)):
             break
         followed = mu
@@ -393,20 +398,13 @@ def evaluate_policy(model: ValidatedModel, policy: PolicyTable) -> np.ndarray:
 def policy_iteration(model: ValidatedModel) -> SolutionTable:
     """Solve by exact policy iteration from the all-lowest-action policy.
 
-    Each iteration is one backward pass with the policy fixed: exact
-    evaluation (no linear solve, no tolerance) whose greedy policy, with low
-    ties, is the improvement.  Terminates because the policy space is finite
-    and every policy is proper.
+    Each iteration is one fixed-policy pass: exact evaluation (no linear
+    solve, no tolerance) whose greedy policy, with low ties, is the
+    improvement.  These are the passes of value iteration's greedy sweep, so
+    at most B*V + 1 iterations run.
     """
-    mu = np.zeros((model.B + 1, model.V + 1), dtype=int)
-    J = np.zeros(mu.shape)
-    iterations = 0
-    while True:
-        iterations += 1
-        _, improved = _backward_pass(model, J, fixed=mu)
-        if np.array_equal(improved, mu):
-            break
-        mu = improved
+    J = np.zeros((model.B + 1, model.V + 1))
+    iterations, mu = _policy_passes(model, J)
     delta, sigma = _increments_from_J(J)
     return SolutionTable(J=J, mu=mu, delta=delta, sigma=sigma,
                          solver_id="policy_iteration", model=model, sweeps=iterations)

@@ -3,6 +3,8 @@ structural identities of the increment recursion."""
 
 import io
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -626,6 +628,42 @@ def assert_iterations_match_reference_loops(model, policy):
     assert evaluate_policy(model, PolicyTable(policy)).tobytes() == J.tobytes()
 
 
+def reference_increments(J):
+    """delta and sigma of a J table, one state at a time."""
+    delta, sigma = np.zeros(J.shape), np.zeros(J.shape)
+    for b in range(1, J.shape[0]):
+        for v in range(1, J.shape[1]):
+            delta[b, v] = J[b, v] - (J[b, v - 1] if v > 1 else J[b - 1, -1])
+            sigma[b, v] = sigma[b, v - 1] + delta[b, v]
+    return delta, sigma
+
+
+def value_iteration_outputs(model):
+    """J, mu, sweeps and CSV at tol 1e-9 and 1e300, and the max_sweeps=1 outcome."""
+    out = []
+    for tol in (1e-9, 1e300):
+        sol = value_iteration(model, tol=tol)
+        out.append((sol.J.tobytes(), sol.mu.tobytes(), sol.sweeps, sol.to_csv()))
+    try:
+        out.append(value_iteration(model, max_sweeps=1).sweeps)
+    except ConvergenceError as e:
+        out.append(str(e))
+    return out
+
+
+def reference_value_iteration_outputs(model):
+    out = []
+    for tol in (1e-9, 1e300):
+        J, mu, sweeps = reference_value_iteration(model, tol)
+        delta, sigma = reference_increments(J)
+        csv = reference_csv(SolutionTable(J, mu, delta, sigma, "reference", model))
+        out.append((J.tobytes(), mu.tobytes(), sweeps, csv))
+    residual, _ = reference_backward_pass(model, np.zeros((model.B + 1, model.V + 1)))
+    out.append(1 if residual <= 1e-9 else
+               f"no convergence after 1 sweeps; sup-norm residual {residual:g}")
+    return out
+
+
 class TestIterationsFollowGreedyPolicy:
     @settings(max_examples=100, deadline=None)
     @given(model=models(), seed=st.integers(0, 2**32 - 1))
@@ -662,25 +700,68 @@ class TestIterationsFollowGreedyPolicy:
         fixed = rng.integers(0, 2, size=(model.B + 1, model.V + 1))
         assert_passes_bitwise_equal(model, rng.normal(size=fixed.shape), fixed)
 
-    def test_only_the_first_value_iteration_sweep_takes_greedy_minima(self, monkeypatch):
-        # _row_base runs once per row b in a greedy chain (a scalar b) and
-        # once per block of the greedy policy (an array of b); at 60x40x8 the
-        # greedy policy is one block.  Greedy minima in any later sweep, or
-        # in a fixed-policy pass, would add row calls.
-        calls = {"rows": 0, "blocks": 0}
-        row_base = solver._row_base
+    def test_iterations_take_no_per_state_minimum(self, monkeypatch):
+        # A pass is one fixed-policy chain and, at 60x40x8, one argmin block
+        # over _action_values.  Greedy minima taken per row or per state, by
+        # Python's min over action values or by more _action_values calls,
+        # would change a count.
+        calls = {"chains": 0, "blocks": 0, "min": 0}
 
-        def counted(model, b, down, r):
-            calls["rows" if np.ndim(b) == 0 else "blocks"] += 1
-            return row_base(model, b, down, r)
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(solver, "_row_base", counted)
+        def min_of_iterable(*args, **kwargs):  # min(a, b) bounds a block
+            calls["min"] += len(args) == 1
+            return min(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_fixed_chain", counted("chains", solver._fixed_chain))
+        monkeypatch.setattr(solver, "_action_values", counted("blocks", solver._action_values))
+        monkeypatch.setattr(solver, "min", min_of_iterable, raising=False)
         model = random_model(np.random.default_rng(101), shape=(60, 40, 8))
         sol = value_iteration(model)
-        assert sol.sweeps == 2 and calls == {"rows": model.B, "blocks": 2}
-        calls.update(rows=0, blocks=0)
+        assert sol.sweeps == 2 and calls == {"chains": 2, "blocks": 2, "min": 0}
+        calls.update(chains=0, blocks=0)
         sol = policy_iteration(model)
-        assert calls == {"rows": 0, "blocks": sol.sweeps}
-        calls.update(rows=0, blocks=0)
+        assert sol.sweeps > 1 and calls == {"chains": sol.sweeps, "blocks": sol.sweeps, "min": 0}
+        calls.update(chains=0, blocks=0)
         evaluate_policy(model, sol.policy())
-        assert calls == {"rows": 0, "blocks": 0}
+        assert calls == {"chains": 1, "blocks": 0, "min": 0}
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=models(), seed=st.integers(0, 2**32 - 1))
+    @example(model=NEG_ZERO, seed=0)
+    @example(model=TWO_IN_B_DROPS, seed=1)
+    def test_start_policy_changes_no_output(self, model, seed):
+        # value iteration's greedy sweep starts from solve_recursive's policy;
+        # any other start must give the same bytes, and those of the reference
+        expected = value_iteration_outputs(model)
+        assert expected == reference_value_iteration_outputs(model)
+        rng = np.random.default_rng(seed)
+        shape = (model.B + 1, model.V + 1)
+        for mu in (np.zeros(shape, dtype=int), rng.integers(0, len(model.actions), size=shape)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solver, "solve_recursive", lambda m, mu=mu: SimpleNamespace(mu=mu))
+                assert value_iteration_outputs(model) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=models())
+    @example(model=NEG_ZERO)
+    @example(model=TWO_IN_B_DROPS)
+    def test_value_and_policy_iteration_agree_bitwise(self, model):
+        vi, pi = value_iteration(model), policy_iteration(model)
+        assert (vi.J.tobytes(), vi.mu.tobytes()) == (pi.J.tobytes(), pi.mu.tobytes())
+
+    def test_value_iteration_memory_bounded_at_large_action_sets(self):
+        # 1x2048x2048: per-state minima over a V x |S| row base peaked at 64 MiB
+        model = random_model(np.random.default_rng(107), shape=(1, 2048, 2048))
+        model.actions  # the cached float array, not the solver's memory
+        tracemalloc.start()
+        try:
+            value_iteration(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

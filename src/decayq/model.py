@@ -180,13 +180,26 @@ class ValidatedModel:
         return np.asarray(self.config.actions.values)
 
     def h_of(self, b: int) -> float:
-        return float(self.h[b - 1])
+        return self._entry(self.h, "b", b, 1)
 
     def c_of(self, action_index: int) -> float:
-        return float(self.c[action_index])
+        return self._entry(self.c, "action index", action_index, 0)
 
     def r_of(self, v: int) -> float:
-        return float(self.r[v - 1])
+        return self._entry(self.r, "v", v, 1)
+
+    @staticmethod
+    def _entry(table: np.ndarray, name: str, i: int, lo: int) -> float:
+        """table[i - lo]; an index off the table raises, never wraps."""
+        hi = lo + len(table) - 1
+        if not _is_index(i, lo, hi):
+            raise ValueError(f"{name} = {i} outside the integers [{lo}, {hi}]")
+        return float(table[i - lo])
+
+
+def _is_index(i, lo: int, hi: int) -> bool:
+    """Whether i is an integer in [lo, hi]: a bool or a float is no index."""
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool) and lo <= i <= hi
 
 
 def materialize(spec: CostSpec, args: Sequence[float]) -> np.ndarray:

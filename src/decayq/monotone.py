@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ValidatedModel
+from .model import ValidatedModel, _is_index
 from .solver import SolutionTable, _objective
 
 __all__ = [
@@ -123,7 +123,7 @@ def check_delta_conditions(model: ValidatedModel, solution: SolutionTable, b: in
 
 
 def _check_row(model: ValidatedModel, b: int) -> None:
-    if not 1 <= b <= model.B:
+    if not _is_index(b, 1, model.B):
         raise ValueError(f"row b = {b} outside [1, {model.B}]")
 
 

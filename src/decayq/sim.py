@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, ValidatedModel
+from .model import ConfigError, ValidatedModel, _is_index
 from .solver import PolicyTable, _check_policy
 
 __all__ = [
@@ -117,8 +117,7 @@ def _dynamics(model: ValidatedModel, b, v, a):
 
 def _check_state(model: ValidatedModel, state: tuple[int, int]) -> None:
     b, v = state
-    if not (isinstance(b, (int, np.integer)) and isinstance(v, (int, np.integer))
-            and 1 <= b <= model.B and 1 <= v <= model.V):
+    if not (_is_index(b, 1, model.B) and _is_index(v, 1, model.V)):
         raise ValueError(f"state {tuple(state)} must be nonterminal, "
                          f"integers in [1, {model.B}] x [1, {model.V}]")
 
@@ -131,7 +130,7 @@ def step(model: ValidatedModel, state: tuple[int, int], action_index: int,
     if not (0.0 <= w <= 1.0):
         raise ValueError(f"noise {w!r} outside [0, 1]")
     k = len(model.actions)
-    if not (isinstance(action_index, (int, np.integer)) and 0 <= action_index < k):
+    if not _is_index(action_index, 0, k - 1):
         raise ValueError(f"action index {action_index!r} is not an integer in [0, {k})")
     s, win, lose, up, fail = _dynamics(model, b, v, action_index)
     success = w <= s

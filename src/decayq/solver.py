@@ -28,7 +28,7 @@ from itertools import count
 
 import numpy as np
 
-from .model import ValidatedModel
+from .model import ValidatedModel, _is_index
 
 __all__ = [
     "ConvergenceError",
@@ -269,7 +269,7 @@ def bellman_backup(model: ValidatedModel, J: np.ndarray, b: int, v: int) -> tupl
     cost over actions and the smallest minimizing action index.  Success
     moves to (b-1, V); failure decays to (b, v-1), or ejects to (b-1, V)
     when v = 1."""
-    if not (1 <= b <= model.B and 1 <= v <= model.V):
+    if not (_is_index(b, 1, model.B) and _is_index(v, 1, model.V)):
         raise ValueError(f"state ({b}, {v}) outside [1, {model.B}] x [1, {model.V}]")
     vals = _action_values(model, J, b, v)
     a = int(np.argmin(vals))
@@ -304,42 +304,34 @@ def _fixed_chain(model: ValidatedModel, J: np.ndarray, fixed: np.ndarray) -> Non
         J[lo:lo + step, 1:] = rows
 
 
-def _policy_passes(model: ValidatedModel, J: np.ndarray, policy: np.ndarray | None = None,
-                   most: int | None = None) -> tuple[int, np.ndarray]:
-    """Fixed-policy passes, the first along ``policy`` (default: the lowest
-    action) and each later one along the greedy policy of the one before,
-    until that is the policy followed or ``most`` passes ran.  Returns the
-    pass count and the last greedy policy, one argmin per block of at most
-    _BLOCK floats.  A pass that follows its own greedy policy has the greedy
-    minima as J, bit for bit: by induction in DAG order each state's inputs
-    are the greedy sweep's, and it follows their first minimum.  Each other
-    pass's greedy policy is optimal through the first state where the one
-    followed was not, so at most B*V + 1 passes run."""
-    policy = np.zeros(J.shape, dtype=int) if policy is None else policy
+def _greedy_policy(model: ValidatedModel, J: np.ndarray) -> np.ndarray:
+    """The greedy policy against J, one argmin per block of at most _BLOCK
+    floats."""
     B, V, step = model.B, model.V, max(1, _BLOCK // len(model.c))  # states per block
+    mu = np.zeros(J.shape, dtype=int)
+    for lo in range(0, B * V, step):
+        b, v = np.divmod(np.arange(lo, min(lo + step, B * V)), V)
+        mu[b + 1, v + 1] = _action_values(model, J, b + 1, v + 1).argmin(axis=1)
+    return mu
+
+
+def _greedy_sweep(model: ValidatedModel, J: np.ndarray,
+                  policy: np.ndarray) -> tuple[int, np.ndarray]:
+    """One in-place greedy sweep in DAG order: fixed-policy passes, the first
+    along ``policy`` and each later one along the greedy policy of the one
+    before, until that is the policy followed.  Returns the pass count and
+    the greedy policy.  The last pass has the greedy minima as J, bit for
+    bit: by induction in DAG order each state's inputs are the greedy
+    sweep's, and it follows their first minimum.  Each other pass's greedy
+    policy is optimal through the first state where the one followed was
+    not, so at most B*V + 1 passes run.  ``policy`` sets only how many;
+    neither it nor J on entry, but for the terminal J[0, V], sets an output."""
     for passes in count(1):
         _fixed_chain(model, J, policy)
-        mu = np.zeros(J.shape, dtype=int)
-        for lo in range(0, B * V, step):
-            b, v = np.divmod(np.arange(lo, min(lo + step, B * V)), V)
-            mu[b + 1, v + 1] = _action_values(model, J, b + 1, v + 1).argmin(axis=1)
-        if passes == most or np.array_equal(mu[1:, 1:], policy[1:, 1:]):
+        mu = _greedy_policy(model, J)
+        if np.array_equal(mu[1:, 1:], policy[1:, 1:]):
             return passes, mu
         policy = mu
-
-
-def _backward_pass(model: ValidatedModel, J: np.ndarray, fixed: np.ndarray | None = None,
-                   *, start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """One in-place sweep in DAG order (b, then v, ascending), setting J[b, v]
-    to the greedy minimum or to the value of action ``fixed[b, v]``.  Each
-    state reads only (b, v-1) and (b-1, V), already final, so one pass is
-    exact.  Returns the sup-norm change of J and the greedy policy against
-    the new J.  The greedy sweep is ``_policy_passes`` from ``start``, which
-    sets how many passes run, never an output."""
-    old = J.copy()
-    _, mu = _policy_passes(model, J, start) if fixed is None else \
-        _policy_passes(model, J, fixed, most=1)
-    return float(np.abs(J - old).max()), mu
 
 
 def _increments_from_J(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,18 +344,17 @@ def _increments_from_J(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def value_iteration(model: ValidatedModel, tol: float = 1e-9,
                     max_sweeps: int | None = None) -> SolutionTable:
-    """Solve by in-place Bellman sweeps from J = 0.
+    """Solve by in-place greedy sweeps from J = 0 until the residual is at
+    most tol.
 
-    The first sweep is greedy and exact; each later one follows the last
-    sweep's greedy policy (modified policy iteration) and stops once the
-    residual is at most tol and the greedy policy is the one followed.  This
-    changes no output of all-greedy sweeps: sweep 2 along mu_1 recomputes J_1
-    bit for bit (see ``_policy_passes``), so its residual is 0 and its greedy
-    policy is mu_1 again.  ``max_sweeps`` defaults to B*V + 1, which bounds
-    any sweep order since every episode ends within B*V slots.
-    The greedy sweep starts from ``solve_recursive``'s policy, so it is
-    usually one pass.  That start is only a hint: it sets how many passes
-    run, never an output, so the result does not rest on the recursion.
+    In DAG order a sweep reads only entries it has already set, so its J does
+    not depend on the J it starts from: sweep 1 is exact, and sweep 2
+    reproduces it with residual 0.  ``max_sweeps`` defaults to B*V + 1, which
+    bounds any sweep order since every episode ends within B*V slots.  Each
+    sweep starts from the last greedy policy, the first from
+    ``solve_recursive``'s, so each is usually one pass.  That start sets only
+    how many passes run, never an output, so the result does not rest on the
+    recursion.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
@@ -373,12 +364,13 @@ def value_iteration(model: ValidatedModel, tol: float = 1e-9,
             or max_sweeps < 1:
         raise ValueError(f"max_sweeps must be an int >= 1, not {max_sweeps!r}")
     J = np.zeros((model.B + 1, model.V + 1))
-    start, followed = solve_recursive(model).mu, None
+    mu = solve_recursive(model).mu
     for sweeps in range(1, max_sweeps + 1):
-        residual, mu = _backward_pass(model, J, followed, start=start)
-        if residual <= tol and (followed is None or np.array_equal(mu, followed)):
+        old = J.copy()
+        _, mu = _greedy_sweep(model, J, mu)
+        residual = float(np.abs(J - old).max())
+        if residual <= tol:
             break
-        followed = mu
     else:
         raise ConvergenceError(f"no convergence after {max_sweeps} sweeps; "
                                f"sup-norm residual {residual:g}")
@@ -400,11 +392,11 @@ def policy_iteration(model: ValidatedModel) -> SolutionTable:
 
     Each iteration is one fixed-policy pass: exact evaluation (no linear
     solve, no tolerance) whose greedy policy, with low ties, is the
-    improvement.  These are the passes of value iteration's greedy sweep, so
-    at most B*V + 1 iterations run.
+    improvement.  These are the passes of one greedy sweep, so at most
+    B*V + 1 iterations run.
     """
     J = np.zeros((model.B + 1, model.V + 1))
-    iterations, mu = _policy_passes(model, J)
+    iterations, mu = _greedy_sweep(model, J, np.zeros(J.shape, dtype=int))
     delta, sigma = _increments_from_J(J)
     return SolutionTable(J=J, mu=mu, delta=delta, sigma=sigma,
                          solver_id="policy_iteration", model=model, sweeps=iterations)

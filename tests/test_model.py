@@ -14,9 +14,17 @@ from decayq import (
     ConfigError,
     CostSpec,
     ModelConfig,
+    PolicyTable,
     ValidationError,
+    bellman_backup,
+    check_constant_reward,
+    check_delta_conditions,
     load_config,
     materialize,
+    mc_estimate,
+    simulate_episode,
+    solve_recursive,
+    step,
     validate,
 )
 
@@ -213,3 +221,39 @@ def test_flags_match_reference_scan(h, c, r):
     assert m.flags.h_nondecreasing == all(a <= b for a, b in zip(h, h[1:]))
     assert m.flags.c_nondecreasing == all(a <= b for a, b in zip(c, c[1:]))
     assert m.flags.r_nondecreasing == all(a <= b for a, b in zip(r, r[1:]))
+
+
+class TestIndexArguments:
+    """A bool or a float is no state, row or action index: True is not 1."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return validate(load_config(FIG1A_DOC))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda m: step(m, (True, True), 0, 0.5), "nonterminal"),
+        (lambda m: step(m, (1, 1.0), 0, 0.5), "nonterminal"),
+        (lambda m: simulate_episode(m, lowest(m), (True, True), 0), "nonterminal"),
+        (lambda m: mc_estimate(m, lowest(m), (True, True), 10, 0), "nonterminal"),
+        (lambda m: step(m, (1, 1), True, 0.5), "action index"),
+        (lambda m: step(m, (1, 1), np.float64(1.0), 0.5), "action index"),
+        (lambda m: bellman_backup(m, np.zeros((m.B + 1, m.V + 1)), True, True), "outside"),
+        (lambda m: bellman_backup(m, np.zeros((m.B + 1, m.V + 1)), 1.0, 1), "outside"),
+        (lambda m: check_delta_conditions(m, solve_recursive(m), True), "outside"),
+        (lambda m: check_constant_reward(m, 1.0), "outside"),
+        (lambda m: m.h_of(True), "outside"),
+        (lambda m: m.c_of(0.0), "outside"),
+        (lambda m: m.r_of(np.float64(1.0)), "outside"),
+        (lambda m: m.c_of(-1), "outside"),  # used to wrap to the last action
+        (lambda m: m.c_of(3), "outside"),
+    ])
+    def test_rejected(self, model, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(model)
+
+    def test_numpy_integers_accepted(self, model):
+        assert model.h_of(np.int64(20)) == model.h[-1] and model.c_of(np.int32(0)) == model.c[0]
+
+
+def lowest(model):
+    return PolicyTable(np.zeros((model.B + 1, model.V + 1), dtype=int))

@@ -37,7 +37,7 @@ from decayq.cli import _boundaries
 from decayq.monotone import RowClass
 from decayq.presets import FIGURE_PRESETS, preset_by_id
 from decayq import solver
-from decayq.solver import _backward_pass
+from decayq.solver import _fixed_chain, _greedy_policy, _greedy_sweep
 
 
 def fig_model(preset_id):
@@ -107,6 +107,14 @@ class TestApplyT:
             v = int(rng.integers(1, m.V + 1))
             ts = [apply_T(m, b, v, x) for x in xs]
             assert all(a <= b2 for a, b2 in zip(ts, ts[1:]))
+
+    @pytest.mark.parametrize("b, v", [(0, 1), (21, 1), (1, 0), (1, 11), (-3, 1)])
+    def test_state_off_the_tables_rejected(self, b, v):
+        # negative indices used to wrap: (0, 1) read h(B), (1, 0) read r(V)
+        m = fig_model("1a")
+        assert (m.B, m.V) == (20, 10)
+        with pytest.raises(ValueError, match="outside"):
+            apply_T(m, b, v, 0.5)
 
 
 class TestGMap:
@@ -513,12 +521,25 @@ def reference_backward_pass(model, J, fixed=None):
     return residual, mu
 
 
+def backward_pass(model, J, fixed=None):
+    """One in-place sweep of the solver's kernels: a greedy sweep, or one
+    chain along ``fixed``.  Returns the sup-norm change of J and the greedy
+    policy against the new J, as ``reference_backward_pass`` does."""
+    old = J.copy()
+    if fixed is None:
+        _, mu = _greedy_sweep(model, J, np.zeros(J.shape, dtype=int))
+    else:
+        _fixed_chain(model, J, fixed)
+        mu = _greedy_policy(model, J)
+    return float(np.abs(J - old).max()), mu
+
+
 def assert_passes_bitwise_equal(model, J0, fixed=None):
     """Two passes of each kernel from J0 (the second starts from a solved J,
-    as in value iteration's certifying sweep): J, mu and residual byte-equal."""
+    as in value iteration's sweep 2): J, mu and residual byte-equal."""
     J, ref_J = J0.copy(), J0.copy()
     for _ in range(2):
-        residual, mu = _backward_pass(model, J, fixed)
+        residual, mu = backward_pass(model, J, fixed)
         ref_residual, ref_mu = reference_backward_pass(model, ref_J, fixed)
         assert J.tobytes() == ref_J.tobytes()
         assert mu.dtype == ref_mu.dtype and mu.tobytes() == ref_mu.tobytes()
@@ -745,6 +766,25 @@ class TestIterationsFollowGreedyPolicy:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(solver, "solve_recursive", lambda m, mu=mu: SimpleNamespace(mu=mu))
                 assert value_iteration_outputs(model) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=models(), seed=st.integers(0, 2**32 - 1))
+    @example(model=NEG_ZERO, seed=0)
+    @example(model=TWO_IN_B_DROPS, seed=1)
+    def test_greedy_sweep_ignores_its_start(self, model, seed):
+        # in DAG order a greedy sweep reads only entries it has set: neither
+        # the J it starts from (but the terminal J[0, V] = 0) nor the policy
+        # it first follows changes its J or mu, only how many passes run
+        rng = np.random.default_rng(seed)
+        J = rng.normal(scale=100.0, size=(model.B + 1, model.V + 1))
+        J[0, model.V] = 0.0
+        policy = rng.integers(0, len(model.actions), size=J.shape)
+        passes, mu = _greedy_sweep(model, J, policy)
+        ref_J = np.zeros(J.shape)
+        _, ref_mu = reference_backward_pass(model, ref_J)
+        assert J[1:, 1:].tobytes() == ref_J[1:, 1:].tobytes()
+        assert mu.tobytes() == ref_mu.tobytes()
+        assert 1 <= passes <= model.B * model.V + 1
 
     @settings(max_examples=200, deadline=None)
     @given(model=models())

@@ -10,8 +10,9 @@ Two kinds of statement are checked here:
 
 Verdicts from the algebraic checkers are one-sided guarantees; when neither
 inequality family holds the checker reports Inconclusive and only the
-empirical scan speaks.  All comparisons are exact (no tolerance injected);
-margins are recorded so callers can judge float sensitivity themselves.
+empirical scan speaks.  All comparisons are exact (no tolerance injected).
+Only ``check_submodular`` reports a margin, its worst quadruple's; the
+Theorem-2 and Theorem-3 verdicts keep no slack.
 """
 
 from __future__ import annotations

@@ -23,6 +23,9 @@ trapping state (0, V).  Ties in every argmin break to the smallest action.
 from __future__ import annotations
 
 import io
+import os
+import signal
+import threading
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -52,6 +55,12 @@ _NOT_WRITTEN = "_ \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
 # The CSV format's fixed lines: its header and its last row, V being the grid's.
 _CSV_HEADER, _CSV_TERMINAL = "b,v,J,mu_index,mu_value,delta,sigma", "0,V,0,,,,"
 _BLOCK = 2 ** 16  # floats or states in one block of the passes: bounded memory
+# States from which to_csv formats half of its rows in a forked child.  On
+# two x86-64 CPUs under Python 3.11, a fork, the child's exit and its reaping
+# took 3-4 ms in a 73 MiB process and a state took about 3 us to format, so a
+# split pays from about 3,000 states on (at 64x64 it broke even).  2**13
+# keeps 60x40 and 20x10 tables in-process and splits 200x100 ones.
+_SPLIT_STATES = 2 ** 13
 
 
 def _odd_text(text: str, start: int = 0) -> bool:
@@ -110,22 +119,84 @@ class SolutionTable:
         """Serialize as CSV, b-major, terminal row last.
 
         Floats use repr (shortest round-trip form) so equal solutions give
-        byte-identical files.
+        byte-identical files.  From ``_SPLIT_STATES`` states on, a forked
+        child formats the upper half of the rows while this process formats
+        the lower half (see ``_fork_rows``); the text is the same.
         """
         if self.model is None:
             raise ValueError("cannot export a solution without its model")
         action_text = [f"{a},{s!r}" for a, s in enumerate(self.model.actions.tolist())]
         v_text = [f",{v}," for v in range(1, self.V + 1)]
-        out = io.StringIO()
-        out.write(_CSV_HEADER + "\n")
-        for b in range(1, self.B + 1):
-            # .tolist() gives Python floats, whose repr is that of float(np.float64)
-            rows = zip(v_text, self.J[b, 1:].tolist(), self.mu[b, 1:].tolist(),
-                       self.delta[b, 1:].tolist(), self.sigma[b, 1:].tolist())
-            out.write("".join([f"{b}{vt}{j!r},{action_text[a]},{d!r},{sg!r}\n"
-                               for vt, j, a, d, sg in rows]))
-        out.write(_CSV_TERMINAL.replace("V", str(self.V)) + "\n")
-        return out.getvalue()
+        rows = _fork_rows(self, action_text, v_text) if _may_fork(self.B, self.V) else None
+        if rows is None:
+            rows = [_csv_rows(self, 1, self.B + 1, action_text, v_text)]
+        terminal = _CSV_TERMINAL.replace("V", str(self.V)) + "\n"
+        return "".join([_CSV_HEADER + "\n", *rows, terminal])
+
+
+def _csv_rows(table: SolutionTable, lo: int, hi: int, action_text: list[str],
+              v_text: list[str]) -> str:
+    """The CSV rows of b in [lo, hi): one line per state, in v order."""
+    out = io.StringIO()
+    for b in range(lo, hi):
+        # .tolist() gives Python floats, whose repr is that of float(np.float64)
+        rows = zip(v_text, table.J[b, 1:].tolist(), table.mu[b, 1:].tolist(),
+                   table.delta[b, 1:].tolist(), table.sigma[b, 1:].tolist())
+        out.write("".join([f"{b}{vt}{j!r},{action_text[a]},{d!r},{sg!r}\n"
+                           for vt, j, a, d, sg in rows]))
+    return out.getvalue()
+
+
+def _may_fork(B: int, V: int) -> bool:
+    """Whether to_csv splits its rows with a forked child: a table of at
+    least _SPLIT_STATES states and two rows, a second usable CPU, and no
+    other thread: the child would not have it, but would keep any lock it
+    held."""
+    if B * V < _SPLIT_STATES or B < 2 or not hasattr(os, "fork"):
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    return cpus >= 2 and threading.active_count() == 1
+
+
+def _fork_rows(table: SolutionTable, action_text: list[str],
+               v_text: list[str]) -> list[str] | None:
+    """The CSV rows in two halves: this process formats b < mid while a
+    forked child formats b >= mid and writes them, as ASCII, to a pipe.
+    None when the fork fails.  The child always leaves through os._exit, and
+    no child outlives the call: it is reaped on every path, and killed first
+    when this process raises."""
+    mid = 1 + table.B // 2
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                pipe.write(_csv_rows(table, mid, table.B + 1, action_text,
+                                     v_text).encode("ascii"))
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        os.close(w)
+        with open(r, "rb") as pipe:
+            low = _csv_rows(table, 1, mid, action_text, v_text)
+            high = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise ChildProcessError(f"CSV export child {pid} exited with status {code}")
+    return [low, high.decode("ascii")]
 
 
 def solution_from_csv(text: str) -> SolutionTable:

@@ -1,12 +1,16 @@
-"""Shared helpers: randomized model generation and the brute-force oracle."""
+"""Shared helpers: randomized model generation, the brute-force oracle and
+a forced split of the CSV export."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
 
 import numpy as np
+import pytest
 
-from decayq import ActionSet, CostSpec, ModelConfig, ValidatedModel, validate
+from decayq import ActionSet, CostSpec, ModelConfig, ValidatedModel, solver, validate
 
 
 def table_model(B, V, actions, h, c, r) -> ValidatedModel:
@@ -75,3 +79,41 @@ def brute_force_optimal(model: ValidatedModel) -> float:
         assignment = dict(zip(states, choice))
         best = min(best, brute_force_policy_value(model, assignment))
     return best
+
+
+@contextlib.contextmanager
+def forced_split(states=1, cpus=2):
+    """``to_csv`` splits every table of ``states`` states and two rows or
+    more, on a host taken to have ``cpus`` usable CPUs; yields the list of
+    the child pids that its forks return."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_SPLIT_STATES", states)
+        mp.setattr(os, "fork", counted_fork)
+        mp.setattr(os, "cpu_count", lambda: cpus)
+        if hasattr(os, "sched_getaffinity"):
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        yield forks
+
+
+def fails_in(where, monkeypatch):
+    """Make the CSV row formatter raise in the parent or in the child only."""
+    parent, rows = os.getpid(), solver._csv_rows
+
+    def formatter(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise RuntimeError(f"formatter failed in the {where}")
+        return rows(*args)
+    monkeypatch.setattr(solver, "_csv_rows", formatter)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

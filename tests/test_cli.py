@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import assert_no_child_left, fails_in, forced_split
 import decayq.cli as cli
 from decayq import sim
 from decayq.cli import _write_atomic, main
@@ -49,6 +50,17 @@ class TestSolve:
         rc = main(["solve", "--config", config_file(FIG1A), "--out", str(out)])
         assert rc == 1
         assert not out.exists()
+
+    def test_failed_export_child_exits_one_without_output(self, tmp_path, config_file,
+                                                          capsys, monkeypatch):
+        config, out = config_file(FIG1A), tmp_path / "solution.csv"
+        fails_in("child", monkeypatch)
+        with forced_split() as forks:
+            rc = main(["solve", "--config", config, "--out", str(out)])
+        assert rc == 1 and len(forks) == 1
+        assert capsys.readouterr().err.startswith("error: CSV export child")
+        assert os.listdir(tmp_path) == ["config.json"]  # neither the CSV nor its .tmp
+        assert_no_child_left()
 
     def test_failed_write_keeps_existing_file(self, tmp_path):
         out = tmp_path / "solution.csv"

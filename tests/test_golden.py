@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import forced_split
 from decayq import validate
 from decayq.cli import main
 from decayq.presets import preset_by_id
@@ -77,6 +78,33 @@ def test_artifact_bytes_pinned(artifacts, name):
 def test_solver_csv_pinned(preset_id, solver):
     model = validate(preset_by_id(preset_id).config)
     csv = _SOLVERS[solver](model).to_csv()
+    assert _sha256(csv) == SOLVER_SHA256[f"{preset_id}_{solver}.csv"]
+
+
+# The same pins with every CSV export split between this process and a child.
+
+@pytest.fixture(scope="module")
+def split_artifacts(tmp_path_factory):
+    out = tmp_path_factory.mktemp("figures_split")
+    with forced_split() as forks:
+        assert main(["figures", "--out", str(out)]) == 0
+    assert len(forks) == 4  # one per preset policy CSV
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_artifact_bytes_pinned_split_export(split_artifacts, name):
+    digest = hashlib.sha256((split_artifacts / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("preset_id", ["1a", "1b", "1c", "1d"])
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
+def test_solver_csv_pinned_split_export(preset_id, solver):
+    solution = _SOLVERS[solver](validate(preset_by_id(preset_id).config))
+    with forced_split() as forks:
+        csv = solution.to_csv()
+    assert len(forks) == 1
     assert _sha256(csv) == SOLVER_SHA256[f"{preset_id}_{solver}.csv"]
 
 

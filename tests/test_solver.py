@@ -1,8 +1,11 @@
 """Solver correctness: desk-scale oracles, cross-solver agreement, and the
 structural identities of the increment recursion."""
 
+import errno
 import io
 import json
+import os
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -11,7 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_optimal, random_model, table_model
+from conftest import (
+    assert_no_child_left,
+    brute_force_optimal,
+    fails_in,
+    forced_split,
+    random_model,
+    table_model,
+)
 from decayq import (
     ConvergenceError,
     Direction,
@@ -616,6 +626,84 @@ class TestArrayKernelsMatchLoops:
             assert getattr(back, name).tobytes() == getattr(sol, name).tobytes(), name
 
 
+def no_fork(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("to_csv forked"))
+
+
+class TestCsvSplitExport:
+    @settings(max_examples=100, deadline=None)
+    @given(model=models())
+    @example(model=table_model(1, 1, [0.5], h=[1.0], c=[2.0], r=[1.0]))
+    @example(model=NEG_ZERO)
+    def test_split_text_equals_in_process_text(self, model):
+        sol = solve_recursive(model)
+        text = sol.to_csv()
+        with forced_split() as forks:
+            assert sol.to_csv() == text
+        assert len(forks) == (model.B >= 2)  # one row is never split
+
+    def test_split_from_the_constant_on(self, monkeypatch):
+        rng = np.random.default_rng(107)
+        states = solver._SPLIT_STATES
+        below = solve_recursive(random_model(rng, shape=(states // 2 - 1, 2, 2)))
+        at = solve_recursive(random_model(rng, shape=(states // 2, 2, 2)))
+        with forced_split(states) as forks:
+            at.to_csv()
+        assert len(forks) == 1
+        no_fork(monkeypatch)
+        with forced_split(states):
+            below.to_csv()
+
+    def test_no_fork_with_another_thread(self, monkeypatch):
+        sol = solve_recursive(fig_model("1a"))
+        text = sol.to_csv()
+        no_fork(monkeypatch)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            with forced_split():
+                assert sol.to_csv() == text
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+
+    def test_no_fork_on_one_cpu(self, monkeypatch):
+        sol = solve_recursive(fig_model("1a"))
+        text = sol.to_csv()
+        no_fork(monkeypatch)
+        with forced_split(cpus=1):
+            assert sol.to_csv() == text
+
+    def test_failed_fork_falls_back_in_process(self, monkeypatch):
+        sol = solve_recursive(fig_model("1a"))
+        text = sol.to_csv()
+
+        def fork():
+            raise OSError(errno.EAGAIN, "no process left")
+        monkeypatch.setattr(os, "fork", fork)
+        with forced_split() as forks:
+            assert sol.to_csv() == text
+        assert forks == []
+
+    def test_child_failure_raises_child_process_error(self, monkeypatch):
+        sol = solve_recursive(fig_model("1a"))
+        fails_in("child", monkeypatch)
+        with forced_split() as forks, pytest.raises(ChildProcessError, match="status 1"):
+            sol.to_csv()
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_parent_failure_propagates_and_reaps_the_child(self, monkeypatch):
+        sol = solve_recursive(fig_model("1a"))
+        fails_in("parent", monkeypatch)
+        with forced_split() as forks, pytest.raises(RuntimeError, match="in the parent"):
+            sol.to_csv()
+        assert len(forks) == 1
+        assert_no_child_left()
+
+
 def reference_value_iteration(model, tol):
     """All-greedy reference sweeps from J = 0 until the residual is at most tol."""
     J = np.zeros((model.B + 1, model.V + 1))
@@ -701,8 +789,8 @@ class TestIterationsFollowGreedyPolicy:
         assert_iterations_match_reference_loops(model, rng.integers(0, 8, size=(61, 41)))
 
     def test_block_boundaries(self):
-        # 2x3 with 2**15 actions: the greedy chain's v-blocks (two v's) and the
-        # greedy policy's state blocks (two states, one across rows) both split
+        # 2x3 with 2**15 actions: the greedy policy's state blocks split, two
+        # states each, one of them across rows
         rng = np.random.default_rng(97)
         s = np.arange(2 ** 15) / 2 ** 15
         c = np.round(5.0 * s ** 2 + rng.uniform(0.0, 0.5, s.size), 1)  # ties on a 0.1 grid

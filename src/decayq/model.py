@@ -144,6 +144,7 @@ class AssumptionFlags:
     Recomputed from the tables, never taken from input.  They only report:
     no solver, checker or simulator reads them, and each monotonicity
     checker tests its own conditions on the tables and the solution.
+    ``r_positive`` is always True, since ``validate`` rejects r <= 0.
     """
 
     h_nondecreasing: bool

@@ -22,7 +22,6 @@ trapping state (0, V).  Ties in every argmin break to the smallest action.
 
 from __future__ import annotations
 
-import io
 import os
 import signal
 import threading
@@ -125,26 +124,28 @@ class SolutionTable:
         """
         if self.model is None:
             raise ValueError("cannot export a solution without its model")
-        action_text = [f"{a},{s!r}" for a, s in enumerate(self.model.actions.tolist())]
-        v_text = [f",{v}," for v in range(1, self.V + 1)]
-        rows = _fork_rows(self, action_text, v_text) if _may_fork(self.B, self.V) else None
+        rows = _fork_rows(self) if _may_fork(self.B, self.V) else None
         if rows is None:
-            rows = [_csv_rows(self, 1, self.B + 1, action_text, v_text)]
+            rows = [_csv_rows(self, 1, self.B + 1)]
         terminal = _CSV_TERMINAL.replace("V", str(self.V)) + "\n"
         return "".join([_CSV_HEADER + "\n", *rows, terminal])
 
 
-def _csv_rows(table: SolutionTable, lo: int, hi: int, action_text: list[str],
-              v_text: list[str]) -> str:
-    """The CSV rows of b in [lo, hi): one line per state, in v order."""
-    out = io.StringIO()
+def _csv_rows(table: SolutionTable, lo: int, hi: int) -> str:
+    """The CSV rows of b in [lo, hi): one line per state, in v order.  The
+    text of an action is made once, for the actions these rows use."""
+    # a set, not np.unique, whose first call imports numpy.ma
+    action_text = {a: f"{a},{float(table.model.actions[a])!r}"
+                   for a in set(table.mu[lo:hi, 1:].ravel().tolist())}
+    v_text = [f",{v}," for v in range(1, table.V + 1)]
+    rows = []
     for b in range(lo, hi):
         # .tolist() gives Python floats, whose repr is that of float(np.float64)
-        rows = zip(v_text, table.J[b, 1:].tolist(), table.mu[b, 1:].tolist(),
-                   table.delta[b, 1:].tolist(), table.sigma[b, 1:].tolist())
-        out.write("".join([f"{b}{vt}{j!r},{action_text[a]},{d!r},{sg!r}\n"
-                           for vt, j, a, d, sg in rows]))
-    return out.getvalue()
+        fields = zip(v_text, table.J[b, 1:].tolist(), table.mu[b, 1:].tolist(),
+                     table.delta[b, 1:].tolist(), table.sigma[b, 1:].tolist())
+        rows.append("".join([f"{b}{vt}{j!r},{action_text[a]},{d!r},{sg!r}\n"
+                             for vt, j, a, d, sg in fields]))
+    return "".join(rows)
 
 
 def _may_fork(B: int, V: int) -> bool:
@@ -159,8 +160,7 @@ def _may_fork(B: int, V: int) -> bool:
     return cpus >= 2 and threading.active_count() == 1
 
 
-def _fork_rows(table: SolutionTable, action_text: list[str],
-               v_text: list[str]) -> list[str] | None:
+def _fork_rows(table: SolutionTable) -> list[str] | None:
     """The CSV rows in two halves: this process formats b < mid while a
     forked child formats b >= mid and writes them, as ASCII, to a pipe.
     None when the fork fails.  The child always leaves through os._exit, and
@@ -179,15 +179,14 @@ def _fork_rows(table: SolutionTable, action_text: list[str],
         try:
             os.close(r)
             with open(w, "wb") as pipe:
-                pipe.write(_csv_rows(table, mid, table.B + 1, action_text,
-                                     v_text).encode("ascii"))
+                pipe.write(_csv_rows(table, mid, table.B + 1).encode("ascii"))
             status = 0
         finally:
             os._exit(status)
     try:
         os.close(w)
         with open(r, "rb") as pipe:
-            low = _csv_rows(table, 1, mid, action_text, v_text)
+            low = _csv_rows(table, 1, mid)
             high = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
@@ -213,20 +212,19 @@ def solution_from_csv(text: str) -> SolutionTable:
         n = next(n for n, line in enumerate(lines[1:], start=2) if _odd_text(line))
         raise ValueError(f"line {n} {lines[n - 1]!r} has a character that to_csv never "
                          "writes: whitespace, '_' or a non-ASCII one")
-    del text  # a copy of the file, not to be kept beside the rows below
-    rows = [line.split(",") for line in lines[1:]]
-    for n, r in enumerate(rows, start=2):
-        if len(r) != 7:
-            raise ValueError(f"line {n} has {len(r)} fields, expected 7")
-    if len(rows) < 2:
+    del text  # a copy of the file, not to be kept beside the lines
+    for n, line in enumerate(lines, start=1):
+        if line.count(",") != 6:
+            raise ValueError(f"line {n} has {line.count(',') + 1} fields, expected 7")
+    if len(lines) < 3:
         raise ValueError("no policy rows")
-    *body, terminal = rows
+    body, terminal = lines[1:-1], lines[-1].split(",")
     if terminal[0] != "0":
         raise ValueError("terminal row missing")
     V = int(terminal[1]) if terminal[1].isdecimal() else -1
     if lines[-1] != _CSV_TERMINAL.replace("V", str(V)):
         raise ValueError(f"terminal row {lines[-1]!r} is not of the form {_CSV_TERMINAL}")
-    B = max(int(r[0]) for r in body)
+    B = max(int(line.partition(",")[0]) for line in body)
     if len(body) != B * V:
         raise ValueError(f"{len(body)} policy rows for the {B}x{V} state grid")
     J, delta, sigma = np.zeros((3, B + 1, V + 1))
@@ -234,7 +232,8 @@ def solution_from_csv(text: str) -> SolutionTable:
     seen = np.zeros((B + 1, V + 1), dtype=bool)
     action_text: dict[int, str] = {}  # mu_index -> its mu_value text
     top = np.iinfo(mu.dtype).max
-    for r in body:
+    for line in body:
+        r = line.split(",")
         b, v = int(r[0]), int(r[1])
         if b < 1 or not 1 <= v <= V or seen[b, v]:
             raise ValueError(f"state ({b}, {v}) is repeated or outside the {B}x{V} grid")

@@ -391,6 +391,31 @@ class TestCsvRoundTrip:
                                              "that is not finite"):
             solution_from_csv(text)
 
+    def test_export_formats_only_the_actions_it_writes(self):
+        # a text for every action in the model peaked at 114 MiB for these 75 bytes
+        k = 2**20
+        m = table_model(1, 1, np.arange(1, k + 1) / k, h=[1.0], c=np.zeros(k), r=[1.0])
+        sol = solve_recursive(m)
+        text, peak = traced_peak(sol.to_csv)
+        assert text.split("\n")[1] == f"1,1,0.0,{k - 1},1.0,0.0,0.0"
+        assert peak < 2**20
+
+    def test_import_splits_one_line_at_a_time(self):
+        # the split fields of every row at once peaked at 8.35 times the text
+        m = random_model(np.random.default_rng(0), shape=(100, 100, 5))
+        text = solve_recursive(m).to_csv()
+        _, peak = traced_peak(solution_from_csv, text)
+        assert peak < 4 * len(text)
+
+
+def traced_peak(call, *args):
+    """call(*args) and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 class TestNearTieDiagnostic:
     def test_reports_constructed_tie(self):

@@ -15,10 +15,11 @@ fixed block partition: episode i consumes stream positions
 [i*B*V, (i+1)*B*V).  The derivation depends only on (seed, episode index),
 so results are independent of execution order and bit-exactly replayable;
 ``simulate_episode`` replays episode 0 of that stream.
-The stream is drawn in chunks of whole episodes into the halves of one 16 MiB buffer
+The stream is drawn in chunks of whole episodes into the halves of one 8 MiB buffer
 in turn, a one-worker executor drawing the next chunk while the current one steps;
 this gives the numbers of drawing it at once, and a chunk's noise and its stepping
-arrays each stay within 16 MiB for any n.
+arrays each stay within 8 MiB for any n.  Stepping the chunks takes about two thirds
+of the time of drawing them (n = 1e5 on 20x10x3, 2-CPU Xeon: 38-52 ms against 54-82 ms).
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ __all__ = [
 ]
 
 # Byte budget of the noise buffer, whose two halves hold one chunk each, and of one
-# chunk's stepping arrays (drawn serially, 4 MiB chunks once ran slower than 16 MiB).
-_NOISE_BYTES = 1 << 24
+# chunk's stepping arrays.  At n = 1e5 on 20x10x3, 4 MiB chunks step in 38-52 ms
+# beside a 54-82 ms draw; 2 MiB chunks once gave a slower 90th-percentile command.
+_NOISE_BYTES = 1 << 23
 
 # Largest n*B*V: 2**36 draws alone take 5 to 10 minutes on a 2-CPU Xeon.
 _MAX_DRAWS = 1 << 36
@@ -183,13 +185,21 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
     _check_state(model, initial)
     _check_policy(model, policy.action_index)
     V1 = model.V + 1
-    b, v = np.maximum(np.divmod(np.arange((model.B + 1) * V1), V1), 1)  # row/col 0 unread
+    ids = np.arange((model.B + 1) * V1)
+    b, v = np.maximum(np.divmod(ids, V1), 1)  # row/col 0 unread
     thr, win, lose, up, fail = _dynamics(model, b, v, policy.action_index[b, v])
-    cost, nxt = np.column_stack([lose, win]).ravel(), np.column_stack([fail, up]).ravel()
+    # A slot's key is kb + success, kb = 2*id being an episode's key base.  Row 0
+    # absorbs: w <= -1 never holds, and a finished episode stays and adds +0.0,
+    # exact since a total starting at +0.0 is never -0.0.
+    done = ids < V1
+    thr = np.repeat(np.where(done, -1.0, thr), 2)
+    cost = np.where(done, 0.0, [lose, win]).T.ravel()
+    nxt = 2 * np.where(done, ids, [fail, up]).T.ravel()
     rng = np.random.default_rng(seed)
-    # Stepping holds at most 50 B an episode: run, ids, the last key, 2*ids, the
-    # gathered noise and threshold (8 B each) and two masks; noise is 16 B a slot.
-    chunk = min(n, max(1, _NOISE_BYTES // max(16 * L, 50)))
+    # Stepping holds at most 37 B an episode: acc, kb and the last key (8 B each), the
+    # going mask, and either a slot's gather and compare mask (9 B) or, compacting, the
+    # new run, acc and kb of at most half the rows (12 B).  Noise is 16 B a slot.
+    chunk = min(n, max(1, _NOISE_BYTES // max(16 * L, 37)))
     # given back on return, unlike the malloc heap; huge pages cut TLB misses
     noise = mmap.mmap(-1, 16 * chunk * L, flags=mmap.MAP_PRIVATE)
     noise.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
@@ -206,15 +216,20 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
             if start + chunk < n:  # draw the next chunk while this one steps
                 drawn = worker.submit(draw, start + chunk)
             view = total[start:start + len(W)]
-            run, ids = np.arange(len(W)), np.full(len(W), initial[0] * V1 + initial[1])
+            # rows stay in place, the noise a strided column, until at most half run
+            run, acc = slice(None), np.zeros(len(W))
+            kb = np.full(len(W), 2 * (initial[0] * V1 + initial[1]))
             for t in range(L):
-                key = 2 * ids + (W[run, t] <= thr[ids])
-                view[run] += cost[key]
-                ids = nxt[key]
-                if not (going := ids >= V1).all():
-                    run, ids = run[going], ids[going]
-                    if not run.size:
+                key = kb + (W[run, t] <= thr[kb])
+                acc += cost[key]
+                kb = nxt[key]
+                going = kb >= 2 * V1
+                if 2 * (left := np.count_nonzero(going)) <= len(kb):
+                    view[run] = acc
+                    if not left:
                         break
+                    run = run[going] if isinstance(run, np.ndarray) else np.flatnonzero(going)
+                    acc, kb = acc[going], kb[going]
             else:
                 raise AssertionError("episode failed to terminate within B*V slots")
     return total

@@ -62,10 +62,11 @@ _BLOCK = 2 ** 16  # floats or states in one block of the passes: bounded memory
 _SPLIT_STATES = 2 ** 13
 
 
-def _odd_text(text: str, start: int = 0) -> bool:
-    """Whether text holds a non-ASCII character, or text[start:] one of
-    ``_NOT_WRITTEN``; str.isascii and str.find copy nothing."""
-    return not text.isascii() or any(text.find(c, start) >= 0 for c in _NOT_WRITTEN)
+def _odd_text(text: str, start: int = 0, end: int | None = None) -> bool:
+    """Whether text[start:end] holds a non-ASCII character or one of ``_NOT_WRITTEN``;
+    str.isascii and str.find copy nothing, and only a non-ASCII text is sliced."""
+    return (not text.isascii() and not text[start:end].isascii()
+            or any(text.find(c, start, end) >= 0 for c in _NOT_WRITTEN))
 
 
 class ConvergenceError(RuntimeError):
@@ -204,15 +205,29 @@ def solution_from_csv(text: str) -> SolutionTable:
     The model is not recoverable from the file; the returned table has
     ``model=None`` and ``solver_id='csv'``.
     """
-    text = text.strip()
     lines = text.split("\n")
+    # text.strip() without its copy of the text: the blank lines at either end go and
+    # the ends of those left are stripped; text[lo:hi] is the span strip keeps
+    lo, hi, skip = 0, len(text), 0
+    while len(lines) > 1 and not lines[-1].strip():
+        hi -= len(lines.pop()) + 1
+    while skip < len(lines) - 1 and not lines[skip].strip():
+        lo += len(lines[skip]) + 1
+        skip += 1
+    del lines[:skip]
+    head = lines[0].lstrip()
+    lo += len(lines[0]) - len(head)
+    lines[0] = head
+    tail = lines[-1].rstrip()
+    hi -= len(lines[-1]) - len(tail)
+    lines[-1] = tail
     if lines[0] != _CSV_HEADER:
         raise ValueError(f"unexpected CSV header {lines[0]!r}")
-    if _odd_text(text, len(lines[0])):
+    if _odd_text(text, lo + len(lines[0]), hi):
         n = next(n for n, line in enumerate(lines[1:], start=2) if _odd_text(line))
         raise ValueError(f"line {n} {lines[n - 1]!r} has a character that to_csv never "
                          "writes: whitespace, '_' or a non-ASCII one")
-    del text  # a copy of the file, not to be kept beside the lines
+    del text  # freed here, before the tables, when the caller kept no reference
     for n, line in enumerate(lines, start=1):
         if line.count(",") != 6:
             raise ValueError(f"line {n} has {line.count(',') + 1} fields, expected 7")

@@ -401,6 +401,40 @@ class TestNoiseChunks:
             monkeypatch.setattr(sim, "_NOISE_BYTES", 8 * m.B * m.V * chunk + 7)
             assert episode_costs(m, pol, initial, n, seed).tobytes() == whole.tobytes()
 
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(B=st.integers(1, 4), V=st.integers(1, 4), n=st.integers(1, 40),
+           chunk=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_signed_zero_costs_are_the_scalar_costs(self, monkeypatch, B, V, n, chunk,
+                                                    seed, data):
+        # A finished episode keeps adding +0.0, exact only because a total that
+        # starts at +0.0 never becomes -0.0; h = c = -0.0 gives stage costs of -0.0.
+        costs = st.sampled_from([-0.0, 0.0, -1.5, 2.0])
+        actions = sorted(data.draw(st.sets(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                           min_size=1, max_size=3)))
+        m = table_model(B, V, actions, h=data.draw(st.lists(costs, min_size=B, max_size=B)),
+                        c=data.draw(st.lists(costs, min_size=len(actions),
+                                             max_size=len(actions))),
+                        r=data.draw(st.lists(st.sampled_from([0.5, 1.5]),
+                                             min_size=V, max_size=V)))
+        pol = PolicyTable(action_index=np.array(data.draw(st.lists(
+            st.integers(0, len(actions) - 1), min_size=(B + 1) * (V + 1),
+            max_size=(B + 1) * (V + 1)))).reshape(B + 1, V + 1))
+        initial = (data.draw(st.integers(1, B)), data.draw(st.integers(1, V)))
+        monkeypatch.setattr(sim, "_NOISE_BYTES", 16 * B * V * chunk)  # chunks of n
+        got = episode_costs(m, pol, initial, n, seed)
+        stream = np.random.default_rng(seed)  # advanced by B*V draws an episode
+        want = [simulate_episode(m, pol, initial, stream).total_cost for _ in range(n)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_preset_1a_maps_at_most_8_mib_of_noise(self, monkeypatch):
+        lengths, real = [], mmap.mmap
+        monkeypatch.setattr(mmap, "mmap", lambda fd, length, **kw:
+                            lengths.append(length) or real(fd, length, **kw))
+        m = validate(preset_by_id("1a").config)
+        episode_costs(m, solve_recursive(m).policy(), (m.B, m.V), 100_000, seed=3)
+        assert len(lengths) == 1 and lengths[0] <= 8 * 2**20
+
     def test_peak_allocation_bounded_by_budget(self):
         # 100000 episodes of 200 slots would be 160 MB of noise in one block
         m = validate(preset_by_id("1a").config)

@@ -407,6 +407,13 @@ class TestCsvRoundTrip:
         _, peak = traced_peak(solution_from_csv, text)
         assert peak < 4 * len(text)
 
+    def test_import_makes_no_copy_of_the_text(self):
+        # text.strip() copied the whole text for its one trailing newline: 2.67 times
+        m = random_model(np.random.default_rng(0), shape=(100, 100, 5))
+        text = solve_recursive(m).to_csv()
+        _, peak = traced_peak(solution_from_csv, text)
+        assert peak < 2.4 * len(text)
+
 
 def traced_peak(call, *args):
     """call(*args) and the tracemalloc peak of the call."""

@@ -174,7 +174,7 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
     lockstep on the ``_dynamics`` tables, keyed 2*id + success, until every id is
     in row 0; a failed draw is re-raised, and no draw outlives the call.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_index(n, 1, np.inf):
         raise ValueError(f"n must be an int >= 1, not {n!r}")
     L = model.B * model.V
     if int(n) * L > _MAX_DRAWS:

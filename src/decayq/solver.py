@@ -62,11 +62,10 @@ _BLOCK = 2 ** 16  # floats or states in one block of the passes: bounded memory
 _SPLIT_STATES = 2 ** 13
 
 
-def _odd_text(text: str, start: int = 0, end: int | None = None) -> bool:
-    """Whether text[start:end] holds a non-ASCII character or one of ``_NOT_WRITTEN``;
-    str.isascii and str.find copy nothing, and only a non-ASCII text is sliced."""
-    return (not text.isascii() and not text[start:end].isascii()
-            or any(text.find(c, start, end) >= 0 for c in _NOT_WRITTEN))
+def _odd_text(text: str, start: int = 0) -> bool:
+    """Whether text holds a non-ASCII character, or text[start:] one of
+    ``_NOT_WRITTEN``; str.isascii and str.find copy nothing."""
+    return not text.isascii() or any(text.find(c, start) >= 0 for c in _NOT_WRITTEN)
 
 
 class ConvergenceError(RuntimeError):
@@ -202,28 +201,17 @@ def _fork_rows(table: SolutionTable) -> list[str] | None:
 def solution_from_csv(text: str) -> SolutionTable:
     """Re-import a solution exported by ``SolutionTable.to_csv``.
 
-    The model is not recoverable from the file; the returned table has
-    ``model=None`` and ``solver_id='csv'``.
+    It reads exactly what ``to_csv`` writes: the header first, the B*V policy
+    rows in b-major order, then the terminal row, each line ended by one
+    newline and nothing before or after.  The model is not recoverable from
+    the file; the returned table has ``model=None`` and ``solver_id='csv'``.
     """
     lines = text.split("\n")
-    # text.strip() without its copy of the text: the blank lines at either end go and
-    # the ends of those left are stripped; text[lo:hi] is the span strip keeps
-    lo, hi, skip = 0, len(text), 0
-    while len(lines) > 1 and not lines[-1].strip():
-        hi -= len(lines.pop()) + 1
-    while skip < len(lines) - 1 and not lines[skip].strip():
-        lo += len(lines[skip]) + 1
-        skip += 1
-    del lines[:skip]
-    head = lines[0].lstrip()
-    lo += len(lines[0]) - len(head)
-    lines[0] = head
-    tail = lines[-1].rstrip()
-    hi -= len(lines[-1]) - len(tail)
-    lines[-1] = tail
     if lines[0] != _CSV_HEADER:
         raise ValueError(f"unexpected CSV header {lines[0]!r}")
-    if _odd_text(text, lo + len(lines[0]), hi):
+    if lines.pop():
+        raise ValueError("the CSV text does not end with a newline")
+    if _odd_text(text, len(_CSV_HEADER)):
         n = next(n for n, line in enumerate(lines[1:], start=2) if _odd_text(line))
         raise ValueError(f"line {n} {lines[n - 1]!r} has a character that to_csv never "
                          "writes: whitespace, '_' or a non-ASCII one")
@@ -244,15 +232,14 @@ def solution_from_csv(text: str) -> SolutionTable:
         raise ValueError(f"{len(body)} policy rows for the {B}x{V} state grid")
     J, delta, sigma = np.zeros((3, B + 1, V + 1))
     mu = np.zeros((B + 1, V + 1), dtype=int)
-    seen = np.zeros((B + 1, V + 1), dtype=bool)
     action_text: dict[int, str] = {}  # mu_index -> its mu_value text
     top = np.iinfo(mu.dtype).max
-    for line in body:
+    for i, line in enumerate(body):
         r = line.split(",")
         b, v = int(r[0]), int(r[1])
-        if b < 1 or not 1 <= v <= V or seen[b, v]:
-            raise ValueError(f"state ({b}, {v}) is repeated or outside the {B}x{V} grid")
-        seen[b, v] = True
+        if b != i // V + 1 or v != i % V + 1:
+            raise ValueError(f"state ({b}, {v}) is repeated, out of b-major order or "
+                             f"outside the {B}x{V} grid")
         a = int(r[3])
         if not 0 <= a <= top:
             raise ValueError(f"state ({b}, {v}) has {'negative' if a < 0 else 'out-of-range'}"
@@ -445,8 +432,7 @@ def value_iteration(model: ValidatedModel, tol: float = 1e-9,
         raise ValueError("tol must be positive and finite")
     if max_sweeps is None:
         max_sweeps = model.B * model.V + 1
-    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, (int, np.integer)) \
-            or max_sweeps < 1:
+    if not _is_index(max_sweeps, 1, np.inf):
         raise ValueError(f"max_sweeps must be an int >= 1, not {max_sweeps!r}")
     J = np.zeros((model.B + 1, model.V + 1))
     mu = solve_recursive(model).mu

@@ -335,14 +335,30 @@ class TestCsvRoundTrip:
          r"state \(1, 1\) has negative mu_index -1"),
         (lambda rows: rows[:3] + [rows[3].replace(",0.3,", ",0.30,")] + rows[4:],
          "mu_index 0 has two mu_value texts '0.3' and '0.30'"),
+        (lambda rows: rows[:2] + [rows[3], rows[2]] + rows[4:], "out of b-major order"),
     ], ids=["header_only", "terminal_only", "extra_field", "missing_state",
             "duplicate_state", "state_off_grid", "no_terminal", "negative_mu_index",
-            "mu_value_mismatch"])
+            "mu_value_mismatch", "rows_swapped"])
     def test_malformed_body_rejected(self, edit, message):
         m = table_model(2, 2, [0.3, 0.7], h=[1.0, 2.0], c=[0.5, 1.5], r=[1.0, 2.0])
         rows = solve_recursive(m).to_csv().strip().split("\n")
         with pytest.raises(ValueError, match=message):
             solution_from_csv("\n".join(edit(rows)) + "\n")
+
+    # The 2x2 export is six lines, each ended by one "\n", and nothing around them.
+    @pytest.mark.parametrize("frame, message", [
+        (lambda text: "\n" + text, "unexpected CSV header ''"),
+        (lambda text: " " + text, "unexpected CSV header ' b,v,"),
+        (lambda text: text + " ", "does not end with a newline"),
+        (lambda text: text[:-1] + "\r\n", r"line 6 '0,2,0,,,,\\r' has a character"),
+        (lambda text: text + "\n", "line 7 has 1 fields"),
+        (lambda text: text[:-1], "does not end with a newline"),
+    ], ids=["leading_newline", "leading_space", "trailing_space", "crlf_end",
+            "doubled_final_newline", "no_final_newline"])
+    def test_text_framed_other_than_written_rejected(self, frame, message):
+        m = table_model(2, 2, [0.3, 0.7], h=[1.0, 2.0], c=[0.5, 1.5], r=[1.0, 2.0])
+        with pytest.raises(ValueError, match=message):
+            solution_from_csv(frame(solve_recursive(m).to_csv()))
 
     @pytest.mark.parametrize("terminal", [
         "0,2,5,x,y,z,w", "0,2,0,,,,1", "0,2,0.0,,,,", "0,02,0,,,,", "0,x,0,,,,", "0,-2,0,,,,",

@@ -15,11 +15,13 @@ fixed block partition: episode i consumes stream positions
 [i*B*V, (i+1)*B*V).  The derivation depends only on (seed, episode index),
 so results are independent of execution order and bit-exactly replayable;
 ``simulate_episode`` replays episode 0 of that stream.
-The stream is drawn in chunks of whole episodes into the halves of one 8 MiB buffer
-in turn, a one-worker executor drawing the next chunk while the current one steps;
-this gives the numbers of drawing it at once, and a chunk's noise and its stepping
-arrays each stay within 8 MiB for any n.  Stepping the chunks takes about two thirds
-of the time of drawing them (n = 1e5 on 20x10x3, 2-CPU Xeon: 38-52 ms against 54-82 ms).
+The stream is drawn in chunks of whole episodes into the halves of one 4 MiB buffer.
+One drawing thread takes a free half from a queue, draws the next chunk into it and
+passes it on; the caller steps that chunk and gives the half back, so the draw waits
+only while both halves are unstepped.  This gives the numbers of drawing the stream at
+once, and the buffer and a chunk's stepping arrays each stay within 4 MiB for any n.
+Stepping the 2 MiB chunks takes less time than drawing them (n = 1e5 on 20x10x3,
+2-CPU Xeon: 50-75 ms against 63-102 ms).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import enum
 import json
 import math
 import mmap
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +49,9 @@ __all__ = [
 ]
 
 # Byte budget of the noise buffer, whose two halves hold one chunk each, and of one
-# chunk's stepping arrays.  At n = 1e5 on 20x10x3, 4 MiB chunks step in 38-52 ms
-# beside a 54-82 ms draw; 2 MiB chunks once gave a slower 90th-percentile command.
-_NOISE_BYTES = 1 << 23
+# chunk's stepping arrays.  At n = 1e5 on 20x10x3, 2 MiB chunks step in 50-75 ms beside
+# a 63-102 ms draw; with 1 MiB chunks stepping was the slower of the two.
+_NOISE_BYTES = 1 << 22
 
 # Largest n*B*V: 2**36 draws alone take 5 to 10 minutes on a 2-CPU Xeon.
 _MAX_DRAWS = 1 << 36
@@ -170,9 +173,10 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
     L = B*V, drawn in chunks of whole episodes (at least one) into the two
     halves of one ``_NOISE_BYTES`` buffer: successive ``random(out=...)`` calls
     continue the stream of ``random(n*L)``; a chunk's stepping arrays also fit in
-    ``_NOISE_BYTES``.  A one-worker executor draws chunk i+1 while chunk i steps in
-    lockstep on the ``_dynamics`` tables, keyed 2*id + success, until every id is
-    in row 0; a failed draw is re-raised, and no draw outlives the call.
+    ``_NOISE_BYTES``.  One drawing thread fills free halves in stream order while
+    this thread steps each drawn chunk in lockstep on the ``_dynamics`` tables, keyed
+    2*id + success, until every id is in row 0, and then frees its half; a failed
+    draw is re-raised here, and no draw outlives the call.
     """
     if not _is_index(n, 1, np.inf):
         raise ValueError(f"n must be an int >= 1, not {n!r}")
@@ -205,16 +209,27 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
     noise.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
     halves, total = np.frombuffer(noise).reshape(2, chunk, L), np.zeros(n)
 
-    def draw(start):  # the chunk from episode start into its half; numpy frees the GIL
-        return rng.random(out=halves[start // chunk % 2, :min(chunk, n - start)])
-    # imported here: with the logging it loads, it would add 5-8 ms to every command
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=1) as worker:  # leaving waits for a draw
-        drawn = worker.submit(draw, 0)
+    import queue  # here: loaded with the package, it raised solve_large's peak RSS 1 MiB
+    free, full, stop = queue.SimpleQueue(), queue.SimpleQueue(), threading.Event()
+    for half in halves:
+        free.put(half)
+
+    def draw():  # each chunk in turn into a free half; numpy frees the GIL
+        try:
+            for start in range(0, n, chunk):
+                half = free.get()
+                if stop.is_set():
+                    return
+                full.put(rng.random(out=half[:min(chunk, n - start)]))
+        except BaseException as exc:  # raised in the caller, which waits on full
+            full.put(exc)
+    drawer = threading.Thread(target=draw)
+    drawer.start()
+    try:
         for start in range(0, n, chunk):
-            W = drawn.result()  # re-raises a failed draw
-            if start + chunk < n:  # draw the next chunk while this one steps
-                drawn = worker.submit(draw, start + chunk)
+            W = full.get()
+            if isinstance(W, BaseException):
+                raise W
             view = total[start:start + len(W)]
             # rows stay in place, the noise a strided column, until at most half run
             run, acc = slice(None), np.zeros(len(W))
@@ -232,6 +247,11 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
                     acc, kb = acc[going], kb[going]
             else:
                 raise AssertionError("episode failed to terminate within B*V slots")
+            free.put(W)  # the stepped half takes the chunk after next
+    finally:  # wait for a draw in flight; the sentinel wakes a drawer waiting on free
+        stop.set()
+        free.put(None)
+        drawer.join()
     return total
 
 

@@ -307,7 +307,7 @@ class TestFigures:
 
 def test_import_loads_no_logging_or_executor():
     # concurrent.futures, and the logging it loads, would add 5-8 ms to every
-    # command; episode_costs imports it when it runs
+    # command
     code = ("import sys, decayq.cli; "
             "print(sorted({'logging', 'concurrent.futures'} & set(sys.modules)))")
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -316,3 +316,17 @@ def test_import_loads_no_logging_or_executor():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out == "[]\n"
+
+
+def test_simulate_loads_no_logging_or_executor():
+    # nor when simulate runs: the drawing thread of episode_costs needs only
+    # threading and queue
+    argv = ["simulate", "--config", str(SAMPLE_CONFIG), "--n", "50"]
+    code = (f"import sys; from decayq.cli import main; assert main({argv!r}) == 0; "
+            "print(sorted({'logging', 'concurrent.futures'} & set(sys.modules)))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.splitlines()[-1] == "[]"

@@ -4,6 +4,7 @@ Monte Carlo averages and exact policy values."""
 import json
 import math
 import mmap
+import sys
 import threading
 import time
 import tracemalloc
@@ -427,13 +428,13 @@ class TestNoiseChunks:
         want = [simulate_episode(m, pol, initial, stream).total_cost for _ in range(n)]
         assert got.tobytes() == np.array(want).tobytes()
 
-    def test_preset_1a_maps_at_most_8_mib_of_noise(self, monkeypatch):
+    def test_preset_1a_maps_at_most_4_mib_of_noise(self, monkeypatch):
         lengths, real = [], mmap.mmap
         monkeypatch.setattr(mmap, "mmap", lambda fd, length, **kw:
                             lengths.append(length) or real(fd, length, **kw))
         m = validate(preset_by_id("1a").config)
         episode_costs(m, solve_recursive(m).policy(), (m.B, m.V), 100_000, seed=3)
-        assert len(lengths) == 1 and lengths[0] <= 8 * 2**20
+        assert len(lengths) == 1 and lengths[0] <= 4 * 2**20
 
     def test_peak_allocation_bounded_by_budget(self):
         # 100000 episodes of 200 slots would be 160 MB of noise in one block
@@ -557,6 +558,32 @@ class TestDrawAhead:
         for n in (1, 2, 3, 9):
             episode_costs(m, pol, (2, 3), n, seed=5)
             assert threading.active_count() == before
+
+    def test_concurrent_calls_under_a_short_switch_interval(self, monkeypatch):
+        # Four calls at once, each with its drawing thread, switching threads every
+        # microsecond: a half drawn over while it still steps would change a total.
+        m = validate(preset_by_id("1a").config)
+        pol = solve_recursive(m).policy()
+        monkeypatch.setattr(sim, "_NOISE_BYTES", 1 << 40)  # one chunk, no half reused
+        want = {s: episode_costs(m, pol, (m.B, m.V), 300, s).tobytes() for s in range(4)}
+        monkeypatch.setattr(sim, "_NOISE_BYTES", 16 * m.B * m.V * 7)  # chunks of 7
+        got = {}
+
+        def call(s):
+            got[s] = episode_costs(m, pol, (m.B, m.V), 300, s).tobytes()
+
+        threads = [threading.Thread(target=call, args=(s,)) for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
 
     def test_noise_map_within_the_budget(self, monkeypatch):
         lengths, real = [], mmap.mmap

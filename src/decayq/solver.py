@@ -22,14 +22,13 @@ trapping state (0, V).  Ties in every argmin break to the smallest action.
 
 from __future__ import annotations
 
-import os
-import signal
-import threading
 from dataclasses import dataclass, field
 from itertools import count
 
 import numpy as np
 
+from . import csvio
+from .csvio import solution_from_csv
 from .model import ValidatedModel, _is_index
 
 __all__ = [
@@ -47,25 +46,7 @@ __all__ = [
     "value_iteration",
 ]
 
-
-# What int and float take in a number text but to_csv never writes: '_' (1_0),
-# ASCII whitespace but the row separator, and any non-ASCII character (١).
-_NOT_WRITTEN = "_ \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
-# The CSV format's fixed lines: its header and its last row, V being the grid's.
-_CSV_HEADER, _CSV_TERMINAL = "b,v,J,mu_index,mu_value,delta,sigma", "0,V,0,,,,"
 _BLOCK = 2 ** 16  # floats or states in one block of the passes: bounded memory
-# States from which to_csv formats half of its rows in a forked child.  On
-# two x86-64 CPUs under Python 3.11, a fork, the child's exit and its reaping
-# took 3-4 ms in a 73 MiB process and a state took about 3 us to format, so a
-# split pays from about 3,000 states on (at 64x64 it broke even).  2**13
-# keeps 60x40 and 20x10 tables in-process and splits 200x100 ones.
-_SPLIT_STATES = 2 ** 13
-
-
-def _odd_text(text: str, start: int = 0) -> bool:
-    """Whether text holds a non-ASCII character, or text[start:] one of
-    ``_NOT_WRITTEN``; str.isascii and str.find copy nothing."""
-    return not text.isascii() or any(text.find(c, start) >= 0 for c in _NOT_WRITTEN)
 
 
 class ConvergenceError(RuntimeError):
@@ -115,154 +96,8 @@ class SolutionTable:
         return PolicyTable(action_index=self.mu.copy())
 
     def to_csv(self) -> str:
-        """Serialize as CSV, b-major, terminal row last.
-
-        Floats use repr (shortest round-trip form) so equal solutions give
-        byte-identical files.  From ``_SPLIT_STATES`` states on, a forked
-        child formats the upper half of the rows while this process formats
-        the lower half (see ``_fork_rows``); the text is the same.
-        """
-        if self.model is None:
-            raise ValueError("cannot export a solution without its model")
-        rows = _fork_rows(self) if _may_fork(self.B, self.V) else None
-        if rows is None:
-            rows = [_csv_rows(self, 1, self.B + 1)]
-        terminal = _CSV_TERMINAL.replace("V", str(self.V)) + "\n"
-        return "".join([_CSV_HEADER + "\n", *rows, terminal])
-
-
-def _csv_rows(table: SolutionTable, lo: int, hi: int) -> str:
-    """The CSV rows of b in [lo, hi): one line per state, in v order.  The
-    text of an action is made once, for the actions these rows use."""
-    # a set, not np.unique, whose first call imports numpy.ma
-    action_text = {a: f"{a},{float(table.model.actions[a])!r}"
-                   for a in set(table.mu[lo:hi, 1:].ravel().tolist())}
-    v_text = [f",{v}," for v in range(1, table.V + 1)]
-    rows = []
-    for b in range(lo, hi):
-        # .tolist() gives Python floats, whose repr is that of float(np.float64)
-        fields = zip(v_text, table.J[b, 1:].tolist(), table.mu[b, 1:].tolist(),
-                     table.delta[b, 1:].tolist(), table.sigma[b, 1:].tolist())
-        rows.append("".join([f"{b}{vt}{j!r},{action_text[a]},{d!r},{sg!r}\n"
-                             for vt, j, a, d, sg in fields]))
-    return "".join(rows)
-
-
-def _may_fork(B: int, V: int) -> bool:
-    """Whether to_csv splits its rows with a forked child: a table of at
-    least _SPLIT_STATES states and two rows, a second usable CPU, and no
-    other thread: the child would not have it, but would keep any lock it
-    held."""
-    if B * V < _SPLIT_STATES or B < 2 or not hasattr(os, "fork"):
-        return False
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count() or 1
-    return cpus >= 2 and threading.active_count() == 1
-
-
-def _fork_rows(table: SolutionTable) -> list[str] | None:
-    """The CSV rows in two halves: this process formats b < mid while a
-    forked child formats b >= mid and writes them, as ASCII, to a pipe.
-    None when the fork fails.  The child always leaves through os._exit, and
-    no child outlives the call: it is reaped on every path, and killed first
-    when this process raises."""
-    mid = 1 + table.B // 2
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                pipe.write(_csv_rows(table, mid, table.B + 1).encode("ascii"))
-            status = 0
-        finally:
-            os._exit(status)
-    try:
-        os.close(w)
-        with open(r, "rb") as pipe:
-            low = _csv_rows(table, 1, mid)
-            high = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        raise
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0:
-        raise ChildProcessError(f"CSV export child {pid} exited with status {code}")
-    return [low, high.decode("ascii")]
-
-
-def solution_from_csv(text: str) -> SolutionTable:
-    """Re-import a solution exported by ``SolutionTable.to_csv``.
-
-    It reads exactly what ``to_csv`` writes: the header first, the B*V policy
-    rows in b-major order, then the terminal row, each line ended by one
-    newline and nothing before or after.  The model is not recoverable from
-    the file; the returned table has ``model=None`` and ``solver_id='csv'``.
-    """
-    lines = text.split("\n")
-    if lines[0] != _CSV_HEADER:
-        raise ValueError(f"unexpected CSV header {lines[0]!r}")
-    if lines.pop():
-        raise ValueError("the CSV text does not end with a newline")
-    if _odd_text(text, len(_CSV_HEADER)):
-        n = next(n for n, line in enumerate(lines[1:], start=2) if _odd_text(line))
-        raise ValueError(f"line {n} {lines[n - 1]!r} has a character that to_csv never "
-                         "writes: whitespace, '_' or a non-ASCII one")
-    del text  # freed here, before the tables, when the caller kept no reference
-    for n, line in enumerate(lines, start=1):
-        if line.count(",") != 6:
-            raise ValueError(f"line {n} has {line.count(',') + 1} fields, expected 7")
-    if len(lines) < 3:
-        raise ValueError("no policy rows")
-    body, terminal = lines[1:-1], lines[-1].split(",")
-    if terminal[0] != "0":
-        raise ValueError("terminal row missing")
-    V = int(terminal[1]) if terminal[1].isdecimal() else -1
-    if lines[-1] != _CSV_TERMINAL.replace("V", str(V)):
-        raise ValueError(f"terminal row {lines[-1]!r} is not of the form {_CSV_TERMINAL}")
-    B = max(int(line.partition(",")[0]) for line in body)
-    if len(body) != B * V:
-        raise ValueError(f"{len(body)} policy rows for the {B}x{V} state grid")
-    J, delta, sigma = np.zeros((3, B + 1, V + 1))
-    mu = np.zeros((B + 1, V + 1), dtype=int)
-    action_text: dict[int, str] = {}  # mu_index -> its mu_value text
-    top = np.iinfo(mu.dtype).max
-    for i, line in enumerate(body):
-        r = line.split(",")
-        b, v = int(r[0]), int(r[1])
-        if b != i // V + 1 or v != i % V + 1:
-            raise ValueError(f"state ({b}, {v}) is repeated, out of b-major order or "
-                             f"outside the {B}x{V} grid")
-        a = int(r[3])
-        if not 0 <= a <= top:
-            raise ValueError(f"state ({b}, {v}) has {'negative' if a < 0 else 'out-of-range'}"
-                             f" mu_index {a}")
-        if a not in action_text:
-            action_text[a] = r[4]
-            try:
-                float(r[4])
-            except ValueError:
-                raise ValueError(f"state ({b}, {v}) has mu_value {r[4]!r}, "
-                                 "not a number") from None
-        elif action_text[a] != r[4]:
-            raise ValueError(f"mu_index {a} has two mu_value texts "
-                             f"{action_text[a]!r} and {r[4]!r}")
-        J[b, v] = float(r[2])
-        mu[b, v] = a
-        delta[b, v] = float(r[5])
-        sigma[b, v] = float(r[6])
-    finite = np.isfinite(J) & np.isfinite(delta) & np.isfinite(sigma)
-    if not finite.all():
-        b, v = np.argwhere(~finite)[0]
-        raise ValueError(f"state ({b}, {v}) has a J, delta or sigma that is not finite")
-    return SolutionTable(J=J, mu=mu, delta=delta, sigma=sigma, solver_id="csv")
+        """Serialize in the CSV format of ``decayq.csvio``."""
+        return csvio.to_csv(self)
 
 
 def _objective(model: ValidatedModel, x) -> np.ndarray:

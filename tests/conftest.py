@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from decayq import ActionSet, CostSpec, ModelConfig, ValidatedModel, solver, validate
+from decayq import ActionSet, CostSpec, ModelConfig, ValidatedModel, csvio, validate
 
 
 def table_model(B, V, actions, h, c, r) -> ValidatedModel:
@@ -95,7 +95,7 @@ def forced_split(states=1, cpus=2):
         return pid
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_SPLIT_STATES", states)
+        mp.setattr(csvio, "_SPLIT_STATES", states)
         mp.setattr(os, "fork", counted_fork)
         mp.setattr(os, "cpu_count", lambda: cpus)
         if hasattr(os, "sched_getaffinity"):
@@ -105,13 +105,13 @@ def forced_split(states=1, cpus=2):
 
 def fails_in(where, monkeypatch):
     """Make the CSV row formatter raise in the parent or in the child only."""
-    parent, rows = os.getpid(), solver._csv_rows
+    parent, rows = os.getpid(), csvio._csv_rows
 
     def formatter(*args):
         if (os.getpid() == parent) == (where == "parent"):
             raise RuntimeError(f"formatter failed in the {where}")
         return rows(*args)
-    monkeypatch.setattr(solver, "_csv_rows", formatter)
+    monkeypatch.setattr(csvio, "_csv_rows", formatter)
 
 
 def assert_no_child_left():

@@ -5,8 +5,11 @@ import errno
 import io
 import json
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,7 +49,7 @@ from decayq import (
 from decayq.cli import _boundaries
 from decayq.monotone import RowClass
 from decayq.presets import FIGURE_PRESETS, preset_by_id
-from decayq import solver
+from decayq import csvio, solver
 from decayq.solver import _fixed_chain, _greedy_policy, _greedy_sweep
 
 
@@ -407,6 +410,11 @@ class TestCsvRoundTrip:
                                              "that is not finite"):
             solution_from_csv(text)
 
+    def test_export_of_an_import_rejected(self):
+        back = solution_from_csv(solve_recursive(fig_model("1a")).to_csv())
+        with pytest.raises(ValueError, match="^cannot export a solution without its model$"):
+            back.to_csv()
+
     def test_export_formats_only_the_actions_it_writes(self):
         # a text for every action in the model peaked at 114 MiB for these 75 bytes
         k = 2**20
@@ -692,7 +700,7 @@ class TestCsvSplitExport:
 
     def test_split_from_the_constant_on(self, monkeypatch):
         rng = np.random.default_rng(107)
-        states = solver._SPLIT_STATES
+        states = csvio._SPLIT_STATES
         below = solve_recursive(random_model(rng, shape=(states // 2 - 1, 2, 2)))
         at = solve_recursive(random_model(rng, shape=(states // 2, 2, 2)))
         with forced_split(states) as forks:
@@ -735,6 +743,17 @@ class TestCsvSplitExport:
             assert sol.to_csv() == text
         assert forks == []
 
+    def test_failed_pipe_falls_back_in_process(self, monkeypatch):
+        sol = solve_recursive(fig_model("1a"))
+        text = sol.to_csv()
+
+        def pipe():
+            raise OSError(errno.EMFILE, "too many open files")
+        monkeypatch.setattr(os, "pipe", pipe)
+        with forced_split() as forks:
+            assert sol.to_csv() == text
+        assert forks == []
+
     def test_child_failure_raises_child_process_error(self, monkeypatch):
         sol = solve_recursive(fig_model("1a"))
         fails_in("child", monkeypatch)
@@ -750,6 +769,20 @@ class TestCsvSplitExport:
             sol.to_csv()
         assert len(forks) == 1
         assert_no_child_left()
+
+
+@pytest.mark.parametrize("first", ["decayq.csvio", "decayq.solver"])
+def test_csv_module_imports_first_and_keeps_the_bindings(first):
+    # the benchmark's tracer wraps SolutionTable.to_csv and
+    # decayq.solver.solution_from_csv by these names
+    code = (f"import {first}, decayq, decayq.csvio, decayq.solver; "
+            "assert decayq.solver.solution_from_csv is decayq.solution_from_csv "
+            "is decayq.csvio.solution_from_csv; "
+            "assert 'to_csv' in vars(decayq.solver.SolutionTable)")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-c", code], env=env, timeout=60, check=True)
 
 
 def reference_value_iteration(model, tol):

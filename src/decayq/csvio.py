@@ -159,10 +159,11 @@ def solution_from_csv(text: str):
         if a not in action_text:
             action_text[a] = r[4]
             try:
-                float(r[4])
+                if not 0.0 <= float(r[4]) <= 1.0:  # to_csv writes action values; nan fails
+                    raise ValueError
             except ValueError:
                 raise ValueError(f"state ({b}, {v}) has mu_value {r[4]!r}, "
-                                 "not a number") from None
+                                 "not a number in [0, 1]") from None
         elif action_text[a] != r[4]:
             raise ValueError(f"mu_index {a} has two mu_value texts "
                              f"{action_text[a]!r} and {r[4]!r}")

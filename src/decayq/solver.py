@@ -2,15 +2,16 @@
 
 Three routes compute the optimal cost-to-go J and optimal policy mu:
 ``solve_recursive`` runs the increment recursion (delta/sigma), exact in
-B*V*|S| evaluations; ``value_iteration`` repeats Bellman sweeps until the
-residual is at most tol; ``policy_iteration`` alternates exact evaluation
-with greedy improvement.  The recursion and the Bellman fixed point are
-independent; the iterations reach that fixed point from different starts.
-Both are built on one exact fixed-policy pass in DAG order ((b, v) leads
-only to (b, v-1) or (b-1, V)): a Python-float chain over table-wide gathers
-sets J, then one blocked argmin gives the greedy policy, with the float
-operations of a backup in its order.  A greedy sweep repeats the pass along
-the last greedy policy until that is the policy followed.
+B*V*|S| evaluations; ``value_iteration`` runs one Bellman sweep from J = 0,
+exact in DAG order, and counts a second, not run, when the first moved J by
+more than tol; ``policy_iteration`` alternates exact evaluation with greedy
+improvement.  The recursion and the Bellman fixed point are independent;
+the iterations reach that fixed point from different starts.  Both are
+built on one exact fixed-policy pass in DAG order ((b, v) leads only to
+(b, v-1) or (b-1, V)): a Python-float chain over table-wide gathers sets J,
+then one blocked argmin gives the greedy policy, with the float operations
+of a backup in its order.  A greedy sweep repeats the pass along the last
+greedy policy until that is the policy followed.
 
 Every solver returns the same ``SolutionTable`` contract, including the
 increment tables delta and sigma (reconstructed from J differences when not
@@ -241,12 +242,16 @@ def _greedy_sweep(model: ValidatedModel, J: np.ndarray,
         policy = mu
 
 
-def _increments_from_J(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reconstruct delta and sigma from J differences."""
+def _swept_table(model: ValidatedModel, policy: np.ndarray, solver_id: str) -> SolutionTable:
+    """One greedy sweep from J = 0 along ``policy`` and its table: delta and
+    sigma from J differences, ``sweeps`` the pass count."""
+    J = np.zeros((model.B + 1, model.V + 1))
+    passes, mu = _greedy_sweep(model, J, policy)
     delta = np.zeros(J.shape)
     delta[1:, 1] = J[1:, 1] - J[:-1, -1]
     delta[1:, 2:] = J[1:, 2:] - J[1:, 1:-1]
-    return delta, np.cumsum(delta, axis=1)
+    return SolutionTable(J=J, mu=mu, delta=delta, sigma=np.cumsum(delta, axis=1),
+                         solver_id=solver_id, model=model, sweeps=passes)
 
 
 def value_iteration(model: ValidatedModel, tol: float = 1e-9,
@@ -255,13 +260,13 @@ def value_iteration(model: ValidatedModel, tol: float = 1e-9,
     most tol.
 
     In DAG order a sweep reads only entries it has already set, so its J does
-    not depend on the J it starts from: sweep 1 is exact, and sweep 2
-    reproduces it with residual 0.  ``max_sweeps`` defaults to B*V + 1, which
-    bounds any sweep order since every episode ends within B*V slots.  Each
-    sweep starts from the last greedy policy, the first from
-    ``solve_recursive``'s, so each is usually one pass.  That start sets only
-    how many passes run, never an output, so the result does not rest on the
-    recursion.
+    not depend on the J it starts from: sweep 1 is exact, and its residual
+    is max|J|.  When that exceeds tol, sweep 2 is counted, not run: it would
+    follow sweep 1's certified policy and redo its last pass, residual 0.
+    So any ``max_sweeps`` >= 2 never raises; it defaults to B*V + 1.  The
+    sweep starts from ``solve_recursive``'s policy, so it is usually one
+    pass.  That start sets only how many passes run, never an output, so the
+    result does not rest on the recursion.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
@@ -269,20 +274,13 @@ def value_iteration(model: ValidatedModel, tol: float = 1e-9,
         max_sweeps = model.B * model.V + 1
     if not _is_index(max_sweeps, 1, np.inf):
         raise ValueError(f"max_sweeps must be an int >= 1, not {max_sweeps!r}")
-    J = np.zeros((model.B + 1, model.V + 1))
-    mu = solve_recursive(model).mu
-    for sweeps in range(1, max_sweeps + 1):
-        old = J.copy()
-        _, mu = _greedy_sweep(model, J, mu)
-        residual = float(np.abs(J - old).max())
-        if residual <= tol:
-            break
-    else:
+    table = _swept_table(model, solve_recursive(model).mu, "value_iteration")
+    residual = float(np.abs(table.J).max())
+    table.sweeps = 1 if residual <= tol else 2
+    if table.sweeps > max_sweeps:
         raise ConvergenceError(f"no convergence after {max_sweeps} sweeps; "
                                f"sup-norm residual {residual:g}")
-    delta, sigma = _increments_from_J(J)
-    return SolutionTable(J=J, mu=mu, delta=delta, sigma=sigma,
-                         solver_id="value_iteration", model=model, sweeps=sweeps)
+    return table
 
 
 def evaluate_policy(model: ValidatedModel, policy: PolicyTable) -> np.ndarray:
@@ -301,11 +299,8 @@ def policy_iteration(model: ValidatedModel) -> SolutionTable:
     improvement.  These are the passes of one greedy sweep, so at most
     B*V + 1 iterations run.
     """
-    J = np.zeros((model.B + 1, model.V + 1))
-    iterations, mu = _greedy_sweep(model, J, np.zeros(J.shape, dtype=int))
-    delta, sigma = _increments_from_J(J)
-    return SolutionTable(J=J, mu=mu, delta=delta, sigma=sigma,
-                         solver_id="policy_iteration", model=model, sweeps=iterations)
+    shape = (model.B + 1, model.V + 1)
+    return _swept_table(model, np.zeros(shape, dtype=int), "policy_iteration")
 
 
 def near_tie_states(solution: SolutionTable, window: float = 1e-12) -> list[tuple[int, int]]:

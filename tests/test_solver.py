@@ -379,6 +379,10 @@ class TestCsvRoundTrip:
         (6, "1e999", "a J, delta or sigma that is not finite"),
         (4, "abc", "mu_value 'abc', not a number"),
         (4, "", "mu_value '', not a number"),
+        (4, "nan", "mu_value 'nan', not a number"),
+        (4, "inf", "mu_value 'inf', not a number"),
+        (4, "-0.5", "mu_value '-0.5', not a number"),
+        (4, "1.5", "mu_value '1.5', not a number"),
         (3, str(10**30), f"out-of-range mu_index {10**30}"),
         (3, str(2**63), f"out-of-range mu_index {2**63}"),
     ])
@@ -912,7 +916,7 @@ class TestIterationsFollowGreedyPolicy:
         monkeypatch.setattr(solver, "min", min_of_iterable, raising=False)
         model = random_model(np.random.default_rng(101), shape=(60, 40, 8))
         sol = value_iteration(model)
-        assert sol.sweeps == 2 and calls == {"chains": 2, "blocks": 2, "min": 0}
+        assert sol.sweeps == 2 and calls == {"chains": 1, "blocks": 1, "min": 0}
         calls.update(chains=0, blocks=0)
         sol = policy_iteration(model)
         assert sol.sweeps > 1 and calls == {"chains": sol.sweeps, "blocks": sol.sweeps, "min": 0}
@@ -954,6 +958,11 @@ class TestIterationsFollowGreedyPolicy:
         assert J[1:, 1:].tobytes() == ref_J[1:, 1:].tobytes()
         assert mu.tobytes() == ref_mu.tobytes()
         assert 1 <= passes <= model.B * model.V + 1
+        # a sweep that returned certified its policy: rerun from its own
+        # (J, mu), it takes one pass and leaves both as they were
+        J_bytes = J.tobytes()
+        passes, again = _greedy_sweep(model, J, mu)
+        assert passes == 1 and (J.tobytes(), again.tobytes()) == (J_bytes, mu.tobytes())
 
     @settings(max_examples=200, deadline=None)
     @given(model=models())

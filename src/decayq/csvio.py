@@ -4,14 +4,13 @@ The header ``b,v,J,mu_index,mu_value,delta,sigma``, the B*V policy rows in
 b-major order and the terminal row ``0,V,0,,,,`` (the grid's V) each end in
 one newline, with nothing before or after.  Floats are shortest round-trip
 ``repr``s, so equal solutions give equal bytes; the model is not in the file.
+The export takes repr's text from orjson for 0 and for |x| in [1e-4, 1e16),
+where both write the same digits with no exponent, and from ``repr`` itself
+for every other value (see ``_repr_texts``).
 The import reads exactly this layout: b-major rows only, and no whitespace,
 '_' or non-ASCII character, which ``int`` and ``float`` would take."""
 
 from __future__ import annotations
-
-import os
-import signal
-import threading
 
 import numpy as np
 
@@ -20,12 +19,11 @@ import numpy as np
 _NOT_WRITTEN = "_ \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
 # The CSV format's fixed lines: its header and its last row, V being the grid's.
 _CSV_HEADER, _CSV_TERMINAL = "b,v,J,mu_index,mu_value,delta,sigma", "0,V,0,,,,"
-# States from which to_csv formats half of its rows in a forked child.  On
-# two x86-64 CPUs under Python 3.11, a fork, the child's exit and its reaping
-# took 3-4 ms in a 73 MiB process and a state took about 3 us to format, so a
-# split pays from about 3,000 states on (at 64x64 it broke even).  2**13
-# keeps 60x40 and 20x10 tables in-process and splits 200x100 ones.
-_SPLIT_STATES = 2 ** 13
+# States in one block of to_csv, whose texts are made a column of a block at
+# a time.  A block's texts are transient, but they set the peak RSS of a run
+# of 200x100 solves: on two x86-64 CPUs, 2**11-state blocks raised it by
+# 1.7 MiB over 2**9 ones, and took 7-15% less time.
+_BLOCK = 2 ** 9
 
 
 def _odd_text(text: str, start: int = 0) -> bool:
@@ -35,118 +33,97 @@ def _odd_text(text: str, start: int = 0) -> bool:
 
 
 def to_csv(table) -> str:
-    """The CSV text of a solution table, split between this process and a
-    forked child from ``_SPLIT_STATES`` states on (see ``_fork_rows``)."""
+    """The CSV text of a solution table.  Its blocks go into one growing
+    buffer as they are made: joined from a list, the freed block texts could
+    stay in the heap, and at the size limit a later write of the text then
+    peaked at up to 291 MiB instead of 231."""
     if table.model is None:
         raise ValueError("cannot export a solution without its model")
-    rows = _fork_rows(table) if _may_fork(table.B, table.V) else None
-    if rows is None:
-        rows = [_csv_rows(table, 1, table.B + 1)]
-    terminal = _CSV_TERMINAL.replace("V", str(table.V)) + "\n"
-    return "".join([_CSV_HEADER + "\n", *rows, terminal])
+    text = bytearray(f"{_CSV_HEADER}\n".encode())
+    for block in _csv_rows(table):
+        text += block.encode("ascii")
+    text += f"{_CSV_TERMINAL.replace('V', str(table.V))}\n".encode()
+    return text.decode("ascii")
 
 
-def _csv_rows(table, lo: int, hi: int) -> str:
-    """The CSV rows of b in [lo, hi): one line per state, in v order.  The
-    text of an action is made once, for the actions these rows use."""
+def _csv_rows(table):
+    """The CSV rows, one text per block of about _BLOCK states (whole rows b),
+    each state in v order.  The text of an action is made once, for the
+    actions the table uses."""
+    B, V, mu = table.B, table.V, table.mu
     # a set, not np.unique, whose first call imports numpy.ma
     action_text = {a: f"{a},{float(table.model.actions[a])!r}"
-                   for a in set(table.mu[lo:hi, 1:].ravel().tolist())}
-    v_text = [f",{v}," for v in range(1, table.V + 1)]
-    rows = []
-    for b in range(lo, hi):
-        # .tolist() gives Python floats, whose repr is that of float(np.float64)
-        fields = zip(v_text, table.J[b, 1:].tolist(), table.mu[b, 1:].tolist(),
-                     table.delta[b, 1:].tolist(), table.sigma[b, 1:].tolist())
-        rows.append("".join([f"{b}{vt}{j!r},{action_text[a]},{d!r},{sg!r}\n"
-                             for vt, j, a, d, sg in fields]))
-    return "".join(rows)
+                   for a in set(mu[1:, 1:].ravel().tolist())}
+    v_text, step = [str(v) for v in range(1, V + 1)], max(1, _BLOCK // V)  # rows per block
+    for lo in range(1, B + 1, step):
+        hi = min(lo + step, B + 1)
+        b_text = [t for b in range(lo, hi) for t in [str(b)] * V]
+        J, delta, sigma = (_repr_texts(x[lo:hi, 1:]) for x in (table.J, table.delta, table.sigma))
+        actions = map(action_text.__getitem__, mu[lo:hi, 1:].ravel().tolist())
+        fields = zip(b_text, v_text * (hi - lo), J, actions, delta, sigma)
+        yield "\n".join(map(",".join, fields)) + "\n"
 
 
-def _may_fork(B: int, V: int) -> bool:
-    """Whether to_csv splits its rows with a forked child: a table of at
-    least _SPLIT_STATES states and two rows, a second usable CPU, and no
-    other thread: the child would not have it, but would keep any lock it
-    held."""
-    if B * V < _SPLIT_STATES or B < 2 or not hasattr(os, "fork"):
-        return False
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count() or 1
-    return cpus >= 2 and threading.active_count() == 1
+def _repr_texts(block: np.ndarray) -> list[str]:
+    """``repr``'s text of each float of a non-empty block, in C order.  orjson
+    writes the same shortest round-trip digits for 0 and for |x| in [1e-4,
+    1e16), where repr uses no exponent; repr writes every other value, nan and
+    +-inf (orjson's null) among them."""
+    import orjson  # here, not at the top: check and simulate never pay its import
+    x = np.ascontiguousarray(block).ravel()
+    texts = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii").split(",")
+    size = np.abs(x)
+    for i in np.flatnonzero((x != 0) & ~((size >= 1e-4) & (size < 1e16))).tolist():
+        texts[i] = repr(x[i].item())
+    return texts
 
 
-def _fork_rows(table) -> list[str] | None:
-    """The CSV rows in two halves: this process formats b < mid while a
-    forked child formats b >= mid and writes them, as ASCII, to a pipe.
-    None when the pipe or the fork fails.  The child always leaves through
-    os._exit, and no child outlives the call: it is reaped on every path,
-    and killed first when this process raises."""
-    mid = 1 + table.B // 2
-    fds = ()
-    try:
-        fds = r, w = os.pipe()
-        pid = os.fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                pipe.write(_csv_rows(table, mid, table.B + 1).encode("ascii"))
-            status = 0
-        finally:
-            os._exit(status)
-    try:
-        os.close(w)
-        with open(r, "rb") as pipe:
-            low = _csv_rows(table, 1, mid)
-            high = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        raise
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0:
-        raise ChildProcessError(f"CSV export child {pid} exited with status {code}")
-    return [low, high.decode("ascii")]
+def _lines(text: str, start: int = 0, stop: int | None = None):
+    """The lines of text[start:stop], each without the newline that ends it,
+    split from one chunk of 16 * _BLOCK characters (about a hundred rows) at a
+    time: no list of every line."""
+    stop = len(text) if stop is None else stop
+    while start < stop:
+        end = text.find("\n", min(start + 16 * _BLOCK, stop) - 1, stop)
+        yield from text[start:end].split("\n")
+        start = end + 1
 
 
 def solution_from_csv(text: str):
     """Re-import a solution exported by ``to_csv``, as a ``SolutionTable``
     with ``model=None`` and ``solver_id='csv'``."""
     from .solver import SolutionTable  # not at the top: solver imports this module
-    lines = text.split("\n")
-    if lines[0] != _CSV_HEADER:
-        raise ValueError(f"unexpected CSV header {lines[0]!r}")
-    if lines.pop():
+    end = text.find("\n")
+    if (header := text[:end] if end >= 0 else text) != _CSV_HEADER:
+        raise ValueError(f"unexpected CSV header {header!r}")
+    if not text.endswith("\n"):
         raise ValueError("the CSV text does not end with a newline")
-    if _odd_text(text, len(_CSV_HEADER)):
-        n = next(n for n, line in enumerate(lines[1:], start=2) if _odd_text(line))
-        raise ValueError(f"line {n} {lines[n - 1]!r} has a character that to_csv never "
+    if _odd_text(text, end):
+        n, line = next((n, line) for n, line in enumerate(_lines(text, end + 1), start=2)
+                       if _odd_text(line))
+        raise ValueError(f"line {n} {line!r} has a character that to_csv never "
                          "writes: whitespace, '_' or a non-ASCII one")
-    del text  # freed here, before the tables, when the caller kept no reference
-    for n, line in enumerate(lines, start=1):
+    for n, line in enumerate(_lines(text), start=1):
         if line.count(",") != 6:
             raise ValueError(f"line {n} has {line.count(',') + 1} fields, expected 7")
-    if len(lines) < 3:
+    if n < 3:
         raise ValueError("no policy rows")
-    body, terminal = lines[1:-1], lines[-1].split(",")
+    last = text.rfind("\n", 0, -1) + 1  # where the terminal row starts
+    terminal_line = text[last:-1]
+    terminal = terminal_line.split(",")
     if terminal[0] != "0":
         raise ValueError("terminal row missing")
     V = int(terminal[1]) if terminal[1].isdecimal() else -1
-    if lines[-1] != _CSV_TERMINAL.replace("V", str(V)):
-        raise ValueError(f"terminal row {lines[-1]!r} is not of the form {_CSV_TERMINAL}")
-    B = max(int(line.partition(",")[0]) for line in body)
-    if len(body) != B * V:
-        raise ValueError(f"{len(body)} policy rows for the {B}x{V} state grid")
+    if terminal_line != _CSV_TERMINAL.replace("V", str(V)):
+        raise ValueError(f"terminal row {terminal_line!r} is not of the form {_CSV_TERMINAL}")
+    B = max(int(line.partition(",")[0]) for line in _lines(text, end + 1, last))
+    if n - 2 != B * V:
+        raise ValueError(f"{n - 2} policy rows for the {B}x{V} state grid")
     J, delta, sigma = np.zeros((3, B + 1, V + 1))
     mu = np.zeros((B + 1, V + 1), dtype=int)
     action_text: dict[int, str] = {}  # mu_index -> its mu_value text
     top = np.iinfo(mu.dtype).max
-    for i, line in enumerate(body):
+    for i, line in enumerate(_lines(text, end + 1, last)):
         r = line.split(",")
         b, v = int(r[0]), int(r[1])
         if b != i // V + 1 or v != i % V + 1:

@@ -1,11 +1,10 @@
 """Shared helpers: randomized model generation, the brute-force oracle and
-a forced split of the CSV export."""
+a chosen block size for the CSV export."""
 
 from __future__ import annotations
 
 import contextlib
 import itertools
-import os
 
 import numpy as np
 import pytest
@@ -82,38 +81,17 @@ def brute_force_optimal(model: ValidatedModel) -> float:
 
 
 @contextlib.contextmanager
-def forced_split(states=1, cpus=2):
-    """``to_csv`` splits every table of ``states`` states and two rows or
-    more, on a host taken to have ``cpus`` usable CPUs; yields the list of
-    the child pids that its forks return."""
-    forks, fork = [], os.fork
+def export_blocks(states):
+    """``to_csv`` formats blocks of ``states`` states (whole rows b, one at
+    the least); yields the sizes of the float columns it formats, one entry
+    a column of a block."""
+    sizes, texts = [], csvio._repr_texts
 
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
+    def counted(block):
+        sizes.append(block.size)
+        return texts(block)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(csvio, "_SPLIT_STATES", states)
-        mp.setattr(os, "fork", counted_fork)
-        mp.setattr(os, "cpu_count", lambda: cpus)
-        if hasattr(os, "sched_getaffinity"):
-            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        yield forks
-
-
-def fails_in(where, monkeypatch):
-    """Make the CSV row formatter raise in the parent or in the child only."""
-    parent, rows = os.getpid(), csvio._csv_rows
-
-    def formatter(*args):
-        if (os.getpid() == parent) == (where == "parent"):
-            raise RuntimeError(f"formatter failed in the {where}")
-        return rows(*args)
-    monkeypatch.setattr(csvio, "_csv_rows", formatter)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        mp.setattr(csvio, "_BLOCK", states)
+        mp.setattr(csvio, "_repr_texts", counted)
+        yield sizes

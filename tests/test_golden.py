@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import forced_split
+from conftest import export_blocks
 from decayq import validate
 from decayq.cli import main
 from decayq.presets import preset_by_id
@@ -81,14 +81,14 @@ def test_solver_csv_pinned(preset_id, solver):
     assert _sha256(csv) == SOLVER_SHA256[f"{preset_id}_{solver}.csv"]
 
 
-# The same pins with every CSV export split between this process and a child.
+# The same pins with every CSV export split into blocks of one row b.
 
 @pytest.fixture(scope="module")
 def split_artifacts(tmp_path_factory):
     out = tmp_path_factory.mktemp("figures_split")
-    with forced_split() as forks:
+    with export_blocks(1) as sizes:
         assert main(["figures", "--out", str(out)]) == 0
-    assert len(forks) == 4  # one per preset policy CSV
+    assert len(sizes) == 3 * sum(preset_by_id(p).config.B for p in ("1a", "1b", "1c", "1d"))
     return out
 
 
@@ -102,9 +102,9 @@ def test_artifact_bytes_pinned_split_export(split_artifacts, name):
 @pytest.mark.parametrize("solver", sorted(_SOLVERS))
 def test_solver_csv_pinned_split_export(preset_id, solver):
     solution = _SOLVERS[solver](validate(preset_by_id(preset_id).config))
-    with forced_split() as forks:
+    with export_blocks(1) as sizes:
         csv = solution.to_csv()
-    assert len(forks) == 1
+    assert sizes == [solution.V] * (3 * solution.B)
     assert _sha256(csv) == SOLVER_SHA256[f"{preset_id}_{solver}.csv"]
 
 

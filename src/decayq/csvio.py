@@ -4,13 +4,15 @@ The header ``b,v,J,mu_index,mu_value,delta,sigma``, the B*V policy rows in
 b-major order and the terminal row ``0,V,0,,,,`` (the grid's V) each end in
 one newline, with nothing before or after.  Floats are shortest round-trip
 ``repr``s, so equal solutions give equal bytes; the model is not in the file.
-The export takes repr's text from orjson for 0 and for |x| in [1e-4, 1e16),
-where both write the same digits with no exponent, and from ``repr`` itself
-for every other value (see ``_repr_texts``).
+The export takes repr's digits from orjson and rewrites the notation where
+the two differ: exponents, and |x| in [1e-5, 1e-4); ``repr`` itself writes
+only nan and +-inf (see ``_repr_texts``).
 The import reads exactly this layout: b-major rows only, and no whitespace,
 '_' or non-ASCII character, which ``int`` and ``float`` would take."""
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -24,6 +26,11 @@ _CSV_HEADER, _CSV_TERMINAL = "b,v,J,mu_index,mu_value,delta,sigma", "0,V,0,,,,"
 # of 200x100 solves: on two x86-64 CPUs, 2**11-state blocks raised it by
 # 1.7 MiB over 2**9 ones, and took 7-15% less time.
 _BLOCK = 2 ** 9
+# Where orjson's exponent (1e16, 1e-7) lacks what repr writes (1e+16, 1e-07):
+# a sign on a positive one, a second digit on a negative one.  Each is mended
+# by one substitution of a fixed text, which re makes without a Python call
+# per match.
+_UNSIGNED_EXPONENT, _ONE_DIGIT_EXPONENT = re.compile(rb"e(?=\d)"), re.compile(rb"e-(?=\d,)")
 
 
 def _odd_text(text: str, start: int = 0) -> bool:
@@ -65,15 +72,27 @@ def _csv_rows(table):
 
 
 def _repr_texts(block: np.ndarray) -> list[str]:
-    """``repr``'s text of each float of a non-empty block, in C order.  orjson
-    writes the same shortest round-trip digits for 0 and for |x| in [1e-4,
-    1e16), where repr uses no exponent; repr writes every other value, nan and
-    +-inf (orjson's null) among them."""
+    """``repr``'s text of each float of a non-empty block, in C order.
+
+    orjson writes the same shortest round-trip digits as repr, and the same
+    notation for 0 and for |x| in [1e-4, 1e16).  Below 1e-5 and from 1e16 on
+    both write an exponent, which the two _EXPONENT substitutions over the
+    whole block's text mend, so their cost grows little with the number of
+    such values.  For |x| in [1e-5, 1e-4) orjson writes 0.0000 and the
+    digits, and each such text is rewritten alone.  repr writes nan and
+    +-inf, orjson's null."""
     import orjson  # here, not at the top: check and simulate never pay its import
     x = np.ascontiguousarray(block).ravel()
-    texts = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii").split(",")
+    text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b","
+    if b"e" in text:
+        text = _ONE_DIGIT_EXPONENT.sub(b"e-0", _UNSIGNED_EXPONENT.sub(b"e+", text))
+    texts = text.decode("ascii").split(",")
+    texts.pop()  # the "" after the last comma
     size = np.abs(x)
-    for i in np.flatnonzero((x != 0) & ~((size >= 1e-4) & (size < 1e16))).tolist():
+    for i in np.flatnonzero((size >= 1e-5) & (size < 1e-4)).tolist():
+        sign, digits = texts[i].split("0.0000")
+        texts[i] = f"{sign}{digits[0]}{'.' if digits[1:] else ''}{digits[1:]}e-05"
+    for i in np.flatnonzero(~np.isfinite(x)).tolist():
         texts[i] = repr(x[i].item())
     return texts
 

@@ -688,11 +688,14 @@ def reference_csv(table):
     return "".join(["b,v,J,mu_index,mu_value,delta,sigma\n", *rows, f"0,{table.V},0,,,,\n"])
 
 
-# Floats where repr and orjson may part: the ends of orjson's range [1e-4, 1e16)
-# and their neighbours, subnormals, the range edges, integral values and ties.
+# Floats where repr and orjson may part: the ends of the range [1e-4, 1e16)
+# where they write the same notation, orjson's own edge 1e-5, their
+# neighbours, one- and two-digit exponents, subnormals, the range edges,
+# integral values and ties.
 REPR_EDGES = [0.0, -0.0, 1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e16,
-              np.nextafter(1e16, 0), 5e-324, 2.2250738585072014e-308,
-              sys.float_info.max, 2.0 ** 52 + 0.5, 1e15, 0.1, 1 / 3]
+              np.nextafter(1e16, 0), 1e-5, np.nextafter(1e-5, 0), np.nextafter(1e-5, 1),
+              3.5e-5, 1.5e-7, 1e-9, 1e-10, 1.1673551e-10, 2.5e16, 1e22, 5e-324,
+              2.2250738585072014e-308, sys.float_info.max, 2.0 ** 52 + 0.5, 1e15, 0.1, 1 / 3]
 
 
 # to_csv formats its rows in blocks of csvio._BLOCK states (whole rows b).
@@ -719,6 +722,7 @@ class TestCsvSplitExport:
     @settings(max_examples=500, deadline=None)
     @given(xs=st.lists(st.floats(), min_size=1, max_size=20))
     @example(xs=REPR_EDGES + [-x for x in REPR_EDGES] + [np.nan, np.inf, -np.inf])
+    @example(xs=[m * 10.0 ** e for m in (1.0, -2.5, 1 / 3) for e in range(-323, 308)])
     def test_repr_texts_are_repr(self, xs):
         assert csvio._repr_texts(np.array(xs, dtype=float)) == list(map(repr, map(float, xs)))
 

@@ -105,8 +105,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.n < 1:
-        raise ConfigError("--n must be >= 1")
     if args.seed < 0:
         raise ConfigError("--seed must be >= 0")
     model = _load_model(args.config)

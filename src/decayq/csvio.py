@@ -5,8 +5,9 @@ b-major order and the terminal row ``0,V,0,,,,`` (the grid's V) each end in
 one newline, with nothing before or after.  Floats are shortest round-trip
 ``repr``s, so equal solutions give equal bytes; the model is not in the file.
 The export takes repr's digits from orjson and rewrites the notation where
-the two differ: exponents, and |x| in [1e-5, 1e-4); ``repr`` itself writes
-only nan and +-inf (see ``_repr_texts``).
+the two differ: exponents, and |x| in [1e-5, 1e-4) (see ``_repr_texts``).
+A ``SolutionTable`` holds no nan or +-inf, so neither is ever written, and
+the import refuses both.
 The import reads exactly this layout: b-major rows only, and no whitespace,
 '_' or non-ASCII character, which ``int`` and ``float`` would take."""
 
@@ -79,8 +80,8 @@ def _repr_texts(block: np.ndarray) -> list[str]:
     both write an exponent, which the two _EXPONENT substitutions over the
     whole block's text mend, so their cost grows little with the number of
     such values.  For |x| in [1e-5, 1e-4) orjson writes 0.0000 and the
-    digits, and each such text is rewritten alone.  repr writes nan and
-    +-inf, orjson's null."""
+    digits, and each such text is rewritten alone.  The block is finite, as
+    every ``SolutionTable`` is: orjson writes nan and +-inf as null."""
     import orjson  # here, not at the top: check and simulate never pay its import
     x = np.ascontiguousarray(block).ravel()
     text = orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] + b","
@@ -92,8 +93,6 @@ def _repr_texts(block: np.ndarray) -> list[str]:
     for i in np.flatnonzero((size >= 1e-5) & (size < 1e-4)).tolist():
         sign, digits = texts[i].split("0.0000")
         texts[i] = f"{sign}{digits[0]}{'.' if digits[1:] else ''}{digits[1:]}e-05"
-    for i in np.flatnonzero(~np.isfinite(x)).tolist():
-        texts[i] = repr(x[i].item())
     return texts
 
 
@@ -167,8 +166,4 @@ def solution_from_csv(text: str):
         mu[b, v] = a
         delta[b, v] = float(r[5])
         sigma[b, v] = float(r[6])
-    finite = np.isfinite(J) & np.isfinite(delta) & np.isfinite(sigma)
-    if not finite.all():
-        b, v = np.argwhere(~finite)[0]
-        raise ValueError(f"state ({b}, {v}) has a J, delta or sigma that is not finite")
     return SolutionTable(J=J, mu=mu, delta=delta, sigma=sigma, solver_id="csv")

@@ -181,26 +181,35 @@ class ValidatedModel:
         return np.asarray(self.config.actions.values)
 
     def h_of(self, b: int) -> float:
-        return self._entry(self.h, "b", b, 1)
+        _check_index("b", b, 1, self.B)
+        return float(self.h[b - 1])
 
     def c_of(self, action_index: int) -> float:
-        return self._entry(self.c, "action index", action_index, 0)
+        _check_index("action index", action_index, 0, len(self.c) - 1)
+        return float(self.c[action_index])
 
     def r_of(self, v: int) -> float:
-        return self._entry(self.r, "v", v, 1)
-
-    @staticmethod
-    def _entry(table: np.ndarray, name: str, i: int, lo: int) -> float:
-        """table[i - lo]; an index off the table raises, never wraps."""
-        hi = lo + len(table) - 1
-        if not _is_index(i, lo, hi):
-            raise ValueError(f"{name} = {i} outside the integers [{lo}, {hi}]")
-        return float(table[i - lo])
+        _check_index("v", v, 1, self.V)
+        return float(self.r[v - 1])
 
 
 def _is_index(i, lo: int, hi: int) -> bool:
     """Whether i is an integer in [lo, hi]: a bool or a float is no index."""
     return isinstance(i, (int, np.integer)) and not isinstance(i, bool) and lo <= i <= hi
+
+
+def _check_index(name: str, i, lo: int, hi: float) -> None:
+    """Raise unless i is an integer in [lo, hi]: an index off a table never wraps."""
+    if not _is_index(i, lo, hi):
+        raise ValueError(f"{name} = {i!r} outside the integers [{lo}, {hi}]")
+
+
+def _check_state(model: ValidatedModel, state: tuple[int, int]) -> None:
+    """Raise unless state is a nonterminal (b, v), integers in [1, B] x [1, V]."""
+    b, v = state
+    if not (_is_index(b, 1, model.B) and _is_index(v, 1, model.V)):
+        raise ValueError(f"state {tuple(state)} outside the nonterminal states, "
+                         f"integers in [1, {model.B}] x [1, {model.V}]")
 
 
 def materialize(spec: CostSpec, args: Sequence[float]) -> np.ndarray:

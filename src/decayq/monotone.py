@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ValidatedModel, _is_index
+from .model import ValidatedModel, _check_index
 from .solver import SolutionTable, _objective
 
 __all__ = [
@@ -119,13 +119,8 @@ def check_delta_conditions(model: ValidatedModel, solution: SolutionTable, b: in
     non-decreasing verdict; the policy row is then constant.  The conditions
     are sufficient only, so the fallback is Inconclusive.
     """
-    _check_row(model, b)
+    _check_index("b", b, 1, model.B)
     return _delta_guarantees(model, solution.delta[b][None])[0]
-
-
-def _check_row(model: ValidatedModel, b: int) -> None:
-    if not _is_index(b, 1, model.B):
-        raise ValueError(f"row b = {b} outside [1, {model.B}]")
 
 
 def _delta_guarantees(model: ValidatedModel, delta_rows: np.ndarray) -> list[Guarantee]:
@@ -147,7 +142,7 @@ def check_constant_reward(model: ValidatedModel, b: int) -> Guarantee:
     decides the in-v direction of row b: positive means non-decreasing,
     negative non-increasing, zero means both (the row is constant in v).
     """
-    _check_row(model, b)
+    _check_index("b", b, 1, model.B)
     verdicts = _constant_reward_guarantees(model)
     if verdicts is None:
         raise ValueError("constant-reward test requires a constant reward table")

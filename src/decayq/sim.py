@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, ValidatedModel, _is_index
+from .model import ConfigError, ValidatedModel, _check_index, _check_state, _is_index
 from .solver import PolicyTable, _check_policy
 
 __all__ = [
@@ -120,13 +120,6 @@ def _dynamics(model: ValidatedModel, b, v, a):
             np.where(v == 1, down, b * V1 + v - 1))
 
 
-def _check_state(model: ValidatedModel, state: tuple[int, int]) -> None:
-    b, v = state
-    if not (_is_index(b, 1, model.B) and _is_index(v, 1, model.V)):
-        raise ValueError(f"state {tuple(state)} must be nonterminal, "
-                         f"integers in [1, {model.B}] x [1, {model.V}]")
-
-
 def step(model: ValidatedModel, state: tuple[int, int], action_index: int,
          w: float) -> tuple[tuple[int, int], float, Event]:
     """Advance one slot.  w = s counts as a success."""
@@ -134,9 +127,7 @@ def step(model: ValidatedModel, state: tuple[int, int], action_index: int,
     b, v = state
     if not (0.0 <= w <= 1.0):
         raise ValueError(f"noise {w!r} outside [0, 1]")
-    k = len(model.actions)
-    if not _is_index(action_index, 0, k - 1):
-        raise ValueError(f"action index {action_index!r} is not an integer in [0, {k})")
+    _check_index("action index", action_index, 0, len(model.actions) - 1)
     s, win, lose, up, fail = _dynamics(model, b, v, action_index)
     success = w <= s
     nb, nv = divmod(int(up if success else fail), model.V + 1)
@@ -179,7 +170,7 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
     draw is re-raised here, and no draw outlives the call.
     """
     if not _is_index(n, 1, np.inf):
-        raise ValueError(f"n must be an int >= 1, not {n!r}")
+        raise ConfigError(f"n must be an int >= 1, not {n!r}")
     L = model.B * model.V
     if int(n) * L > _MAX_DRAWS:
         raise ConfigError(f"n*B*V = {int(n) * L} noise draws exceed the limit of "

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import decayq.cli as cli
-from decayq import sim
+from decayq import load_config, sim, solve_recursive, validate
 from decayq.cli import _write_atomic, main
 
 SAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "demos" / "sample_config.json"
@@ -60,6 +61,40 @@ class TestSolve:
         _write_atomic(str(out), "new\n")
         assert out.read_text() == "new\n"
         assert os.listdir(tmp_path) == ["solution.csv"]
+
+    def test_killed_solve_leaves_no_partial_csv(self, tmp_path, config_file):
+        # SIGKILL a 512x256x4 solve (a 7.8 MB CSV) at points across its run, and
+        # as soon as a file named for --out appears: --out is then absent or the
+        # whole export.  A <out>.<pid>.tmp may stay behind; nothing is asserted
+        # about it.  The runs are one at a time.
+        doc = dict(FIG1A, B=512, V=256, actions=[0.1, 0.4, 0.7, 0.9])
+        expected = solve_recursive(validate(load_config(json.dumps(doc)))).to_csv().encode()
+        cfg, src = config_file(doc), str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+        def start(out):
+            return subprocess.Popen([sys.executable, "-m", "decayq.cli", "solve",
+                                     "--config", cfg, "--out", str(out)],
+                                    env=env, stdout=subprocess.DEVNULL)
+
+        began, full = time.monotonic(), tmp_path / "full.csv"
+        assert start(full).wait(timeout=60) == 0
+        run_time = time.monotonic() - began
+        assert full.read_bytes() == expected
+        kills = [(f"at{i}", run_time * i / 5) for i in range(1, 5)] + [("w0", None), ("w1", None)]
+        for name, delay in kills:
+            out = tmp_path / f"{name}.csv"
+            proc = start(out)
+            if delay is None:  # within the write: its first file is there
+                while proc.poll() is None and not any(
+                        f.startswith(out.name) for f in os.listdir(tmp_path)):
+                    time.sleep(0.0005)
+            else:
+                time.sleep(delay)
+            proc.kill()
+            proc.wait(timeout=60)
+            assert not out.exists() or out.read_bytes() == expected, name
 
     def test_solvers_agree_on_mu_column(self, tmp_path, config_file):
         cfg = config_file(FIG1A)
@@ -195,6 +230,13 @@ class TestSimulate:
 
     def test_invalid_n(self, config_file, capsys):
         assert main(["simulate", "--config", config_file(FIG1A), "--n", "0"]) == 1
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_is_episode_costs_error(self, config_file, capsys, n):
+        assert main(["simulate", "--config", config_file(FIG1A), "--n", str(n)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: n must be an int >= 1, not {n}\n"
+        assert captured.out == ""
 
     def test_negative_seed_exits_one(self, config_file, capsys):
         assert main(["simulate", "--config", config_file(FIG1A), "--seed", "-1"]) == 1

@@ -201,15 +201,14 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
     halves, total = np.frombuffer(noise).reshape(2, chunk, L), np.zeros(n)
 
     import queue  # here: loaded with the package, it raised solve_large's peak RSS 1 MiB
-    free, full, stop = queue.SimpleQueue(), queue.SimpleQueue(), threading.Event()
+    free, full = queue.SimpleQueue(), queue.SimpleQueue()
     for half in halves:
         free.put(half)
 
     def draw():  # each chunk in turn into a free half; numpy frees the GIL
         try:
             for start in range(0, n, chunk):
-                half = free.get()
-                if stop.is_set():
+                if (half := free.get()) is None:
                     return
                 full.put(rng.random(out=half[:min(chunk, n - start)]))
         except BaseException as exc:  # raised in the caller, which waits on full
@@ -239,8 +238,7 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
             else:
                 raise AssertionError("episode failed to terminate within B*V slots")
             free.put(W)  # the stepped half takes the chunk after next
-    finally:  # wait for a draw in flight; the sentinel wakes a drawer waiting on free
-        stop.set()
+    finally:  # wait for a draw in flight; the sentinel ends a drawer still at free
         free.put(None)
         drawer.join()
     return total

@@ -23,7 +23,7 @@ trapping state (0, V).  Ties in every argmin break to the smallest action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import count
 
 import numpy as np
@@ -68,7 +68,7 @@ class PolicyTable:
         return int(self.action_index[b, v])
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolutionTable:
     """Output of every solver: J, mu, and the increment tables.
 
@@ -76,7 +76,8 @@ class SolutionTable:
     terminal entry (exactly 0); ``delta[:, 0]`` and ``sigma[:, 0]`` are the
     v = 0 boundary (exactly 0).  ``mu`` holds indices into the action set.
     J, delta and sigma are finite (``validate``'s cost-scale bound) or
-    construction raises, so ``to_csv`` writes only what the import reads.
+    construction raises, and all four arrays are read-only from then on, so
+    ``to_csv`` writes only what the import reads.
     """
 
     J: np.ndarray
@@ -94,6 +95,8 @@ class SolutionTable:
             finite = np.isfinite(self.J) & np.isfinite(self.delta) & np.isfinite(self.sigma)
             b, v = np.argwhere(~finite)[0].tolist()
             raise ValueError(f"state ({b}, {v}) has a J, delta or sigma that is not finite")
+        for table in (self.J, self.mu, self.delta, self.sigma):
+            table.flags.writeable = False
 
     @property
     def B(self) -> int:
@@ -104,7 +107,7 @@ class SolutionTable:
         return self.J.shape[1] - 1
 
     def policy(self) -> PolicyTable:
-        return PolicyTable(action_index=self.mu.copy())
+        return PolicyTable(action_index=self.mu)
 
     def to_csv(self) -> str:
         """Serialize in the CSV format of ``decayq.csvio``."""
@@ -284,11 +287,10 @@ def value_iteration(model: ValidatedModel, tol: float = 1e-9,
     _check_index("max_sweeps", max_sweeps, 1, np.inf)
     table = _swept_table(model, solve_recursive(model).mu, "value_iteration")
     residual = float(np.abs(table.J).max())
-    table.sweeps = 1 if residual <= tol else 2
-    if table.sweeps > max_sweeps:
+    if (sweeps := 1 if residual <= tol else 2) > max_sweeps:
         raise ConvergenceError(f"no convergence after {max_sweeps} sweeps; "
                                f"sup-norm residual {residual:g}")
-    return table
+    return replace(table, sweeps=sweeps)
 
 
 def evaluate_policy(model: ValidatedModel, policy: PolicyTable) -> np.ndarray:

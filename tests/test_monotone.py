@@ -14,6 +14,7 @@ from decayq import (
     check_delta_conditions,
     check_submodular,
     classify_policy,
+    solution_from_csv,
     solve_recursive,
     validate,
 )
@@ -120,6 +121,11 @@ class TestClassifyPolicy:
         assert doc["theorem3_per_b"] is None  # reward not constant
         wit = doc["per_b_in_v"]["5"]["witness"]
         assert isinstance(wit, list) and len(wit) == 2 and len(wit[0]) == 2
+
+    def test_imported_table_rejected(self):
+        back = solution_from_csv(fig_solution("1a").to_csv())
+        with pytest.raises(ValueError, match="^solution carries no model$"):
+            classify_policy(back)
 
 
 class TestSubmodularity:

@@ -1,6 +1,7 @@
 """Solver correctness: desk-scale oracles, cross-solver agreement, and the
 structural identities of the increment recursion."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -472,6 +473,57 @@ class TestNearTieDiagnostic:
     def test_zero_window_finds_exact_tie(self):
         m = table_model(1, 1, [0.2, 0.8], h=[0.0], c=[0.2, 0.8], r=[1.0])
         assert near_tie_states(solve_recursive(m), 0.0) == [(1, 1)]
+
+    def test_imported_table_rejected(self):
+        back = solution_from_csv(solve_recursive(fig_model("1a")).to_csv())
+        with pytest.raises(ValueError, match="^solution carries no model$"):
+            near_tie_states(back)
+
+
+def direct_table(model):
+    """A SolutionTable built by hand from fresh, writable copies of a solution's arrays."""
+    sol = solve_recursive(model)
+    return SolutionTable(J=sol.J.copy(), mu=sol.mu.copy(), delta=sol.delta.copy(),
+                         sigma=sol.sigma.copy(), solver_id="direct", model=model)
+
+
+class TestSolutionTableIsAValue:
+    """A table cannot change after construction, on every path that makes one."""
+
+    MAKERS = {
+        "recursive": solve_recursive,
+        "value_iteration": value_iteration,
+        "policy_iteration": policy_iteration,
+        "csv": lambda m: solution_from_csv(solve_recursive(m).to_csv()),
+        "direct": direct_table,
+    }
+
+    @pytest.mark.parametrize("maker", MAKERS)
+    @pytest.mark.parametrize("name", ["J", "mu", "delta", "sigma"])
+    def test_arrays_read_only(self, maker, name):
+        table = getattr(self.MAKERS[maker](fig_model("1a")), name)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[1, 1] = 0
+
+    def test_no_nan_written_through_an_edit(self):
+        # the edit that once made to_csv write a "null" the import refused
+        sol = solve_recursive(fig_model("1a"))
+        text = sol.to_csv()
+        with pytest.raises(ValueError, match="read-only"):
+            sol.J[1, 1] = np.nan
+        assert sol.to_csv() == text
+
+    def test_fields_cannot_be_rebound(self):
+        sol = value_iteration(fig_model("1a"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.sweeps = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.J = np.full_like(sol.J, np.nan)
+
+    def test_policy_shares_mu(self):
+        sol = solve_recursive(fig_model("1a"))
+        assert sol.policy().action_index is sol.mu
 
 
 # Bitwise oracle for the array kernels: the per-state loops they replaced,

@@ -33,7 +33,6 @@ from .sim import (
     step,
 )
 from .solver import (
-    ConvergenceError,
     PolicyTable,
     SolutionTable,
     apply_T,

@@ -144,13 +144,12 @@ class AssumptionFlags:
     Recomputed from the tables, never taken from input.  They only report:
     no solver, checker or simulator reads them, and each monotonicity
     checker tests its own conditions on the tables and the solution.
-    ``r_positive`` is always True, since ``validate`` rejects r <= 0.
+    r > 0 has no flag: ``validate`` rejects every other r.
     """
 
     h_nondecreasing: bool
     c_nondecreasing: bool
     r_nondecreasing: bool
-    r_positive: bool
 
 
 @dataclass(frozen=True)
@@ -256,7 +255,6 @@ def validate(config: ModelConfig) -> ValidatedModel:
         h_nondecreasing=bool(np.all(np.diff(h) >= 0.0)),
         c_nondecreasing=bool(np.all(np.diff(c) >= 0.0)),
         r_nondecreasing=bool(np.all(np.diff(r) >= 0.0)),
-        r_positive=True,
     )
     return ValidatedModel(config=config, h=h, c=c, r=r, flags=flags)
 

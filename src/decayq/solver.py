@@ -30,10 +30,9 @@ import numpy as np
 
 from . import csvio
 from .csvio import solution_from_csv
-from .model import ValidatedModel, _check_index, _check_state
+from .model import ValidatedModel, _check_state
 
 __all__ = [
-    "ConvergenceError",
     "PolicyTable",
     "SolutionTable",
     "apply_T",
@@ -48,10 +47,6 @@ __all__ = [
 ]
 
 _BLOCK = 2 ** 16  # floats or states in one block of the passes: bounded memory
-
-
-class ConvergenceError(RuntimeError):
-    """Value iteration failed to converge within the sweep budget."""
 
 
 @dataclass(frozen=True)
@@ -266,8 +261,7 @@ def _swept_table(model: ValidatedModel, policy: np.ndarray, solver_id: str) -> S
                          solver_id=solver_id, model=model, sweeps=passes)
 
 
-def value_iteration(model: ValidatedModel, tol: float = 1e-9,
-                    max_sweeps: int | None = None) -> SolutionTable:
+def value_iteration(model: ValidatedModel, tol: float = 1e-9) -> SolutionTable:
     """Solve by in-place greedy sweeps from J = 0 until the residual is at
     most tol.
 
@@ -275,22 +269,15 @@ def value_iteration(model: ValidatedModel, tol: float = 1e-9,
     not depend on the J it starts from: sweep 1 is exact, and its residual
     is max|J|.  When that exceeds tol, sweep 2 is counted, not run: it would
     follow sweep 1's certified policy and redo its last pass, residual 0.
-    So any ``max_sweeps`` >= 2 never raises; it defaults to B*V + 1.  The
+    So ``sweeps`` is 1 exactly when the first sweep was within tol.  The
     sweep starts from ``solve_recursive``'s policy, so it is usually one
     pass.  That start sets only how many passes run, never an output, so the
     result does not rest on the recursion.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    if max_sweeps is None:
-        max_sweeps = model.B * model.V + 1
-    _check_index("max_sweeps", max_sweeps, 1, np.inf)
     table = _swept_table(model, solve_recursive(model).mu, "value_iteration")
-    residual = float(np.abs(table.J).max())
-    if (sweeps := 1 if residual <= tol else 2) > max_sweeps:
-        raise ConvergenceError(f"no convergence after {max_sweeps} sweeps; "
-                               f"sup-norm residual {residual:g}")
-    return replace(table, sweeps=sweeps)
+    return replace(table, sweeps=1 if np.abs(table.J).max() <= tol else 2)
 
 
 def evaluate_policy(model: ValidatedModel, policy: PolicyTable) -> np.ndarray:

@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, artifacts, and output determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -25,6 +26,13 @@ FIG1B = dict(FIG1A, actions=[0.6, 0.7, 0.8],
 FIG1D = dict(FIG1A, actions=[0.700, 0.705, 0.710],
              reward={"kind": "log", "params": [5]})
 SINGLETON = dict(FIG1A, actions=[0.5])
+# decreasing h: the optimal mu drops in b, first from (3, 2) to (4, 2)
+TWO_IN_B_DROPS = {
+    "B": 4, "V": 4, "actions": [0.0, 0.5, 1.0],
+    "holding": {"kind": "table", "values": [0.0, -2.0, 3.0, -2.0]},
+    "service_cost": {"kind": "table", "values": [1.0, 2.0, 2.0]},
+    "reward": {"kind": "table", "values": [2.0, 1.0, 3.0, 2.0]},
+}
 
 
 @pytest.fixture
@@ -204,6 +212,20 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().out)
         assert doc["per_b_in_v"]["5"]["direction"] == "Mixed"
 
+    def test_in_b_violation_exits_one(self, config_file, capsys):
+        rc = main(["check", "--config", config_file(TWO_IN_B_DROPS)])
+        assert rc == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["in_b_verdict"] == "Violated"
+        assert doc["in_b_witness"] == [[3, 2], [4, 2]]
+
+    def test_empty_action_set_exits_one(self, config_file, capsys):
+        rc = main(["check", "--config", config_file(dict(FIG1A, actions=[]))])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: action set must be non-empty\n"
+
 
 class TestSimulate:
     def test_mean_close_to_J(self, config_file, capsys):
@@ -305,6 +327,19 @@ class TestFigures:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest) == {"1a", "1b", "1c", "1d"}
         assert all(entry["regime_confirmed"] for entry in manifest.values())
+
+    def test_failed_regime_exits_one(self, tmp_path, monkeypatch, capsys):
+        presets = [p if p.id != "1b" else dataclasses.replace(p, in_v_regime="all_nondecreasing")
+                   for p in cli.FIGURE_PRESETS]
+        monkeypatch.setattr(cli, "FIGURE_PRESETS", tuple(presets))
+        assert main(["figures", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "1b: FAILED" in captured.out
+        assert captured.err == ("regime assertion failed: 1b: rows [1, 2, 3, 4, 5, 6, 7, 8] "
+                                "not non-decreasing in v\n")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert {k: e["regime_confirmed"] for k, e in manifest.items()} == \
+            {"1a": True, "1b": False, "1c": True, "1d": True}
 
     def test_nonexistent_dir_fails_before_solving(self, tmp_path, capsys):
         assert main(["figures", "--out", str(tmp_path / "missing")]) == 1

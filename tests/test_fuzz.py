@@ -138,9 +138,18 @@ def test_accepted_costs_keep_every_number_finite(data, to_the_limit):
                 for _ in range(size)]
 
     h, c, r = table(B, (-1.0, 1.0)), table(len(actions), (-1.0, 1.0)), table(V, (1.0,))
+    check_costs_keep_every_number_finite(B, V, actions, h, c, r, to_the_limit)
+
+
+def test_tiny_costs_scaled_to_the_limit_stay_finite():
+    # 2**497 / S overflows for this S = 2.1e-159, so the scaling never forms it
+    check_costs_keep_every_number_finite(1, 1, [0.0], [-1e-159], [-1e-159], [1e-160], True)
+
+
+def check_costs_keep_every_number_finite(B, V, actions, h, c, r, to_the_limit):
     if to_the_limit:
-        f = 2.0**497 / (B * V * (max(map(abs, h)) + max(map(abs, c)) + max(r)))
-        h, c, r = ([x * f * (1 - 1e-12) for x in t] for t in (h, c, r))
+        frac, e = math.frexp(B * V * (max(map(abs, h)) + max(map(abs, c)) + max(r)))
+        h, c, r = ([math.ldexp(x / frac, 497 - e) * (1 - 1e-12) for x in t] for t in (h, c, r))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:

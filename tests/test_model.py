@@ -100,6 +100,25 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="outside"):
             load_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("actions", [], "^action set must be non-empty$"),
+        ("holding", {"kind": "table", "values": []},
+         "^table spec needs a non-empty values list$"),
+    ], ids=["actions", "table_values"])
+    def test_empty_list_rejected(self, key, value, message):
+        doc = json.loads(FIG1A_DOC)
+        doc[key] = value
+        with pytest.raises(ConfigError, match=message):
+            load_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("kind, params, values, message", [
+        ("table", (1.0,), (1.0,), "^table spec takes no params$"),
+        ("linear", (1.0,), (1.0,), "^parametric spec takes no values list$"),
+    ], ids=["table_with_params", "linear_with_values"])
+    def test_spec_with_the_other_kinds_list_rejected(self, kind, params, values, message):
+        with pytest.raises(ConfigError, match=message):
+            CostSpec(kind, params=params, values=values)
+
 
 class TestSizeLimit:
     def config(self, B, V, n_actions):
@@ -160,7 +179,7 @@ class TestValidate:
                            reward={"kind": "affine", "params": [0.1, 25]})
         m = validate(cfg)
         f = m.flags
-        assert f.h_nondecreasing and f.c_nondecreasing and f.r_nondecreasing and f.r_positive
+        assert f.h_nondecreasing and f.c_nondecreasing and f.r_nondecreasing
 
     def test_decreasing_holding_table_flagged_not_rejected(self):
         cfg = self._config(B=3, holding={"kind": "table", "values": [3, 2, 1]})

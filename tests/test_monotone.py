@@ -1,6 +1,7 @@
 """Monotonicity checkers: algebraic sufficient conditions, empirical
 classification, and soundness of one against the other."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -18,7 +19,7 @@ from decayq import (
     solve_recursive,
     validate,
 )
-from decayq.presets import preset_by_id
+from decayq.presets import check_regime, preset_by_id
 
 
 def fig_solution(preset_id):
@@ -128,6 +129,32 @@ class TestClassifyPolicy:
             classify_policy(back)
 
 
+class TestCheckRegime:
+    @pytest.mark.parametrize("preset_id, regime, message", [
+        ("1a", "all_nonincreasing", f"rows {list(range(1, 21))} not non-increasing in v"),
+        ("1a", "varies_with_b",
+         "expected both strictly non-decreasing and non-increasing rows across b"),
+        ("1a", "mixed_at_b5", "row b=5 classified Direction.NON_DECREASING, expected Mixed"),
+        ("1b", "all_nondecreasing", f"rows {list(range(1, 9))} not non-decreasing in v"),
+    ], ids=["1a_as_all_nonincreasing", "1a_as_varies_with_b", "1a_as_mixed_at_b5",
+            "1b_as_all_nondecreasing"])
+    def test_wrong_regime_reported(self, preset_id, regime, message):
+        preset = dataclasses.replace(preset_by_id(preset_id), in_v_regime=regime)
+        assert check_regime(preset, classify_policy(fig_solution(preset_id))) == [message]
+
+    def test_unknown_regime_rejected(self):
+        preset = dataclasses.replace(preset_by_id("1a"), in_v_regime="sideways")
+        with pytest.raises(ValueError, match="^unknown regime 'sideways'$"):
+            check_regime(preset, classify_policy(fig_solution("1a")))
+
+    def test_in_b_violation_reported(self):
+        # decreasing h: mu drops in b twice, at (3, 2) -> (4, 2) first
+        m = table_model(4, 4, [0.0, 0.5, 1.0], h=[0.0, -2.0, 3.0, -2.0],
+                        c=[1.0, 2.0, 2.0], r=[2.0, 1.0, 3.0, 2.0])
+        failures = check_regime(preset_by_id("1a"), classify_policy(solve_recursive(m)))
+        assert failures[0] == "in-b verdict Violated, expected NonDecreasing"
+
+
 class TestSubmodularity:
     def test_random_models_pass(self):
         rng = np.random.default_rng(61)
@@ -152,6 +179,11 @@ class TestSubmodularity:
         m = table_model(1, 1, [0.0, 1.0], h=[0.0], c=[0.0, 0.0], r=[1.0])
         with pytest.raises(ValueError, match="finite"):
             check_submodular(m, grid)
+
+    def test_empty_grid_rejected(self):
+        m = table_model(1, 1, [0.0, 1.0], h=[0.0], c=[0.0, 0.0], r=[1.0])
+        with pytest.raises(ValueError, match="^x_grid must be non-empty$"):
+            check_submodular(m, [])
 
     def test_passed_is_a_python_bool(self):
         m = table_model(1, 1, [0.0, 1.0], h=[0.0], c=[0.0, 0.0], r=[1.0])

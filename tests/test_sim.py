@@ -96,6 +96,12 @@ class TestStep:
         with pytest.raises(ValueError, match="terminal"):
             step(m, (0, 2), 0, 0.5)
 
+    @pytest.mark.parametrize("w", [-0.0625, 1.0625, math.nan])
+    def test_noise_outside_unit_interval_rejected(self, w):
+        m = table_model(1, 2, [0.5], h=[0.0], c=[0.0], r=[1.0, 2.0])
+        with pytest.raises(ValueError, match=r"^noise .* outside \[0, 1\]$"):
+            step(m, (1, 2), 0, w)
+
     def test_every_slot_is_the_documented_dynamics(self):
         # -0.0, ties, integers and inexact sums in the tables; w on both sides of s
         actions, h, c, r = [0.0, 0.5, 1.0], [-0.0, 0.1, 2.0], [-0.0, 0.2, 0.2], [0.3, 3.0, 3.0]

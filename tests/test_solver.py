@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_optimal, export_blocks, random_model, table_model
 from decayq import (
-    ConvergenceError,
     Direction,
     Guarantee,
     MonotonicityReport,
@@ -199,25 +198,9 @@ class TestValueIteration:
             value_iteration(m, tol=0.0)
         with pytest.raises(ValueError):
             value_iteration(m, tol=float("inf"))
-        with pytest.raises(ValueError):
-            value_iteration(m, max_sweeps=0)
-
-    @pytest.mark.parametrize("max_sweeps", [True, 2.0, "2", np.True_])
-    def test_max_sweeps_must_be_an_int(self, max_sweeps):
-        with pytest.raises(ValueError, match="max_sweeps"):
-            value_iteration(fig_model("1a"), max_sweeps=max_sweeps)
-
-    def test_max_sweeps_accepts_numpy_int(self):
-        assert value_iteration(fig_model("1a"), max_sweeps=np.int64(2)).sweeps == 2
-
-    def test_sweep_budget_spent_raises_with_the_residual(self):
-        # the first sweep is exact but only the second certifies it
-        with pytest.raises(ConvergenceError) as err:
-            value_iteration(fig_model("1a"), max_sweeps=1)
-        assert str(err.value) == "no convergence after 1 sweeps; sup-norm residual 286.622"
 
     def test_first_sweep_within_tol_returns(self):
-        assert value_iteration(fig_model("1a"), tol=1e300, max_sweeps=1).sweeps == 1
+        assert value_iteration(fig_model("1a"), tol=1e300).sweeps == 1
 
 
 class TestPolicyIteration:
@@ -835,15 +818,11 @@ def reference_increments(J):
 
 
 def value_iteration_outputs(model):
-    """J, mu, sweeps and CSV at tol 1e-9 and 1e300, and the max_sweeps=1 outcome."""
+    """J, mu, sweeps and CSV at tol 1e-9 and 1e300."""
     out = []
     for tol in (1e-9, 1e300):
         sol = value_iteration(model, tol=tol)
         out.append((sol.J.tobytes(), sol.mu.tobytes(), sol.sweeps, sol.to_csv()))
-    try:
-        out.append(value_iteration(model, max_sweeps=1).sweeps)
-    except ConvergenceError as e:
-        out.append(str(e))
     return out
 
 
@@ -854,9 +833,6 @@ def reference_value_iteration_outputs(model):
         delta, sigma = reference_increments(J)
         csv = reference_csv(SolutionTable(J, mu, delta, sigma, "reference", model))
         out.append((J.tobytes(), mu.tobytes(), sweeps, csv))
-    residual, _ = reference_backward_pass(model, np.zeros((model.B + 1, model.V + 1)))
-    out.append(1 if residual <= 1e-9 else
-               f"no convergence after 1 sweeps; sup-norm residual {residual:g}")
     return out
 
 

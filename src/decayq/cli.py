@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -27,12 +26,12 @@ from .presets import FIGURE_PRESETS, check_regime
 from .sim import mc_estimate
 from .solver import SolutionTable, policy_iteration, solve_recursive, value_iteration
 
-# --solver name -> (solve(model, tol), stdout label of solution.sweeps).  Each
+# --solver name -> (solve(model), stdout label of solution.sweeps).  Each
 # lambda looks its solver up at call time, so wrappers set on these names run.
 _SOLVERS = {
-    "recursive": (lambda model, tol: solve_recursive(model), None),
-    "vi": (lambda model, tol: value_iteration(model, tol=tol), "sweeps"),
-    "pi": (lambda model, tol: policy_iteration(model), "iterations"),
+    "recursive": (lambda model: solve_recursive(model), None),
+    "vi": (lambda model: value_iteration(model), "sweeps"),
+    "pi": (lambda model: policy_iteration(model), "iterations"),
 }
 
 
@@ -82,11 +81,9 @@ def _changes(before, after) -> list[list[int]]:
 
 
 def cmd_solve(args) -> int:
-    if not 0 < args.tol < math.inf:
-        raise ConfigError("--tol must be positive and finite")
     model = _load_model(args.config)
     solve, counter = _SOLVERS[args.solver]
-    solution = solve(model, args.tol)
+    solution = solve(model)
     _write_atomic(args.out, solution.to_csv())
     B, V = model.B, model.V
     print(f"solver: {solution.solver_id}")
@@ -169,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a config and export CSV")
     p_solve.add_argument("--config", required=True)
     p_solve.add_argument("--solver", choices=sorted(_SOLVERS), default="recursive")
-    p_solve.add_argument("--tol", type=float, default=1e-9)
     p_solve.add_argument("--out", required=True)
     p_solve.set_defaults(func=cmd_solve)
 

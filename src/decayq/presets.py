@@ -103,8 +103,9 @@ def check_regime(preset: FigurePreset, report: MonotonicityReport) -> list[str]:
             failures.append("expected both strictly non-decreasing and "
                             "non-increasing rows across b")
     elif preset.in_v_regime == "mixed_at_b5":
-        if dirs.get(5) is not Direction.MIXED:
-            failures.append(f"row b=5 classified {dirs.get(5)}, expected Mixed")
+        got = getattr(dirs.get(5), "value", None)  # None when B < 5
+        if got != Direction.MIXED.value:
+            failures.append(f"row b=5 classified {got}, expected Mixed")
     else:
         raise ValueError(f"unknown regime {preset.in_v_regime!r}")
     return failures

@@ -4,7 +4,7 @@ Three routes compute the optimal cost-to-go J and optimal policy mu:
 ``solve_recursive`` runs the increment recursion (delta/sigma), exact in
 B*V*|S| evaluations; ``value_iteration`` runs one Bellman sweep from J = 0,
 exact in DAG order, and counts a second, not run, when the first moved J by
-more than tol; ``policy_iteration`` alternates exact evaluation with greedy
+more than 1e-9; ``policy_iteration`` alternates exact evaluation with greedy
 improvement.  The recursion and the Bellman fixed point are independent;
 the iterations reach that fixed point from different starts.  Both are
 built on one exact fixed-policy pass in DAG order ((b, v) leads only to
@@ -115,20 +115,13 @@ def _objective(model: ValidatedModel, x) -> np.ndarray:
     return model.c - model.actions * np.asarray(x)[..., None]
 
 
-def _greedy(model: ValidatedModel, x: float) -> tuple[int, float]:
-    """Smallest minimizer and minimum of c(s) - s*x over the action set."""
-    obj = _objective(model, x)
-    a = int(np.argmin(obj))  # first occurrence = smallest action
-    return a, float(obj[a])
-
-
 def g_map(model: ValidatedModel, x: float) -> int:
     """The non-decreasing selection x -> min argmin_s {c(s) - s*x}.
 
     The optimal policy factors through this single map: mu(b, v) is g
     evaluated at r(v) + sigma(b, v-1).
     """
-    return _greedy(model, x)[0]
+    return int(np.argmin(_objective(model, x)))  # first occurrence = smallest action
 
 
 def apply_T(model: ValidatedModel, b: int, v: int, x: float) -> float:
@@ -137,9 +130,10 @@ def apply_T(model: ValidatedModel, b: int, v: int, x: float) -> float:
     Iterating this operator in v generates sigma(b, .); it is non-decreasing
     in x, which is what makes the in-b monotonicity argument go through.
     """
-    _, m = _greedy(model, model.r_of(v) + x)
-    # grouped as x + (h + m) to match the running sum in solve_recursive exactly
-    return x + (model.h_of(b) + m)
+    obj = _objective(model, model.r_of(v) + x)
+    # the first minimum, grouped as x + (h + min) to match the running sum in
+    # solve_recursive exactly
+    return x + (model.h_of(b) + float(obj[np.argmin(obj)]))
 
 
 def solve_recursive(model: ValidatedModel) -> SolutionTable:
@@ -261,23 +255,21 @@ def _swept_table(model: ValidatedModel, policy: np.ndarray, solver_id: str) -> S
                          solver_id=solver_id, model=model, sweeps=passes)
 
 
-def value_iteration(model: ValidatedModel, tol: float = 1e-9) -> SolutionTable:
+def value_iteration(model: ValidatedModel) -> SolutionTable:
     """Solve by in-place greedy sweeps from J = 0 until the residual is at
-    most tol.
+    most 1e-9.
 
     In DAG order a sweep reads only entries it has already set, so its J does
     not depend on the J it starts from: sweep 1 is exact, and its residual
-    is max|J|.  When that exceeds tol, sweep 2 is counted, not run: it would
+    is max|J|.  When that exceeds 1e-9, sweep 2 is counted, not run: it would
     follow sweep 1's certified policy and redo its last pass, residual 0.
-    So ``sweeps`` is 1 exactly when the first sweep was within tol.  The
-    sweep starts from ``solve_recursive``'s policy, so it is usually one
-    pass.  That start sets only how many passes run, never an output, so the
+    So ``sweeps`` is 1 exactly when every |J| is within 1e-9.  The sweep
+    starts from ``solve_recursive``'s policy, so it is usually one pass.
+    That start sets only how many passes run, never an output, so the
     result does not rest on the recursion.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError("tol must be positive and finite")
     table = _swept_table(model, solve_recursive(model).mu, "value_iteration")
-    return replace(table, sweeps=1 if np.abs(table.J).max() <= tol else 2)
+    return replace(table, sweeps=1 if np.abs(table.J).max() <= 1e-9 else 2)
 
 
 def evaluate_policy(model: ValidatedModel, policy: PolicyTable) -> np.ndarray:

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_model, table_model
 from decayq import (
@@ -134,13 +136,23 @@ class TestCheckRegime:
         ("1a", "all_nonincreasing", f"rows {list(range(1, 21))} not non-increasing in v"),
         ("1a", "varies_with_b",
          "expected both strictly non-decreasing and non-increasing rows across b"),
-        ("1a", "mixed_at_b5", "row b=5 classified Direction.NON_DECREASING, expected Mixed"),
+        ("1a", "mixed_at_b5", "row b=5 classified NonDecreasing, expected Mixed"),
         ("1b", "all_nondecreasing", f"rows {list(range(1, 9))} not non-decreasing in v"),
     ], ids=["1a_as_all_nonincreasing", "1a_as_varies_with_b", "1a_as_mixed_at_b5",
             "1b_as_all_nondecreasing"])
     def test_wrong_regime_reported(self, preset_id, regime, message):
         preset = dataclasses.replace(preset_by_id(preset_id), in_v_regime=regime)
         assert check_regime(preset, classify_policy(fig_solution(preset_id))) == [message]
+
+    @pytest.mark.parametrize("B, message", [
+        (3, "row b=5 classified None, expected Mixed"),
+        (5, "row b=5 classified Constant, expected Mixed"),
+    ], ids=["no_row_5", "row_5_constant"])
+    def test_mixed_at_b5_names_the_row_direction(self, B, message):
+        # one action: every row is constant; with B < 5 there is no row 5 at all
+        m = table_model(B, 2, [0.5], h=[1.0] * B, c=[0.5], r=[1.0, 2.0])
+        failures = check_regime(preset_by_id("1d"), classify_policy(solve_recursive(m)))
+        assert failures == [message]
 
     def test_unknown_regime_rejected(self):
         preset = dataclasses.replace(preset_by_id("1a"), in_v_regime="sideways")
@@ -259,3 +271,70 @@ class TestCheckerSoundness:
             m = random_model(rng)
             rep = classify_policy(solve_recursive(m))
             assert rep.in_b_verdict == "NonDecreasing", rep.in_b_witness
+
+
+@st.composite
+def grid_models(draw, sorted_h=False, constant_reward=False):
+    """A model on a dyadic grid, on which the recursion's arithmetic is exact:
+    h and c of either sign in quarters (h often tied), positive r in
+    quarters, none of them monotone unless drawn so, and actions k/8 that
+    always include 0 and 1.  ``sorted_h`` makes h non-decreasing."""
+    B, V = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    actions = [k / 8 for k in sorted({0, 8} | draw(st.sets(st.integers(1, 7), max_size=3)))]
+    quarters = st.integers(-12, 12).map(lambda m: m / 4)
+    h = draw(st.lists(st.one_of(st.integers(-2, 2).map(float), quarters),
+                      min_size=B, max_size=B))
+    c = draw(st.lists(quarters, min_size=len(actions), max_size=len(actions)))
+    r_entry = st.integers(1, 20).map(lambda m: m / 4)
+    r = [draw(r_entry)] * V if constant_reward else draw(
+        st.lists(r_entry, min_size=V, max_size=V))
+    return table_model(B, V, actions, sorted(h) if sorted_h else h, c, r)
+
+
+# each guarantee's allowed row directions, and its test on a step in v of
+# g's argument x(v) = r(v) + sigma(b, v-1)
+ALLOWED = {
+    Guarantee.NON_DECREASING: ({Direction.NON_DECREASING, Direction.CONSTANT}, lambda d: d >= 0.0),
+    Guarantee.NON_INCREASING: ({Direction.NON_INCREASING, Direction.CONSTANT}, lambda d: d <= 0.0),
+    Guarantee.BOTH: ({Direction.CONSTANT}, lambda d: d == 0.0),
+    Guarantee.INCONCLUSIVE: (set(Direction), lambda d: True),
+}
+
+
+class TestOperativeAssumptions:
+    """Which standing assumption carries which verdict (README, "Which
+    assumption carries which result").  The grid models break every flag but
+    the one a property assumes, and the recursion is exact on them, so a
+    verdict is the theorem's, exact ties included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=grid_models(sorted_h=True))
+    # h tied, c and r not monotone, c of both signs; exact ties at (1, 2) and (2, 2)
+    @example(model=table_model(3, 3, [0.0, 0.5, 1.0], h=[1.0, 1.0, 2.0],
+                               c=[0.5, 1.0, -0.5], r=[2.0, 0.5, 1.5]))
+    def test_in_b_needs_only_h_nondecreasing(self, model):
+        assert model.flags.h_nondecreasing
+        report = classify_policy(solve_recursive(model))
+        assert report.in_b_verdict == "NonDecreasing", report.in_b_witness
+
+    @staticmethod
+    def assert_sound(model, verdicts):
+        """Each row's direction, and each step in v of g's argument, are those
+        the row's verdict allows."""
+        sol = solve_recursive(model)
+        report = classify_policy(sol)
+        steps = np.diff(model.r + sol.sigma[1:, :-1], axis=1)
+        for b, g in verdicts(report).items():
+            directions, step_ok = ALLOWED[g]
+            assert report.per_b_in_v[b].direction in directions, (b, g)
+            assert all(step_ok(d) for d in steps[b - 1].tolist()), (b, g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=grid_models())
+    def test_theorem2_sound_with_no_flag(self, model):
+        self.assert_sound(model, lambda report: report.theorem2_per_b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=grid_models(constant_reward=True))
+    def test_theorem3_sound_with_no_flag(self, model):
+        self.assert_sound(model, lambda report: report.theorem3_per_b)

@@ -17,6 +17,7 @@ from .monotone import (
     Direction,
     Guarantee,
     MonotonicityReport,
+    RowClass,
     SubmodularityResult,
     check_constant_reward,
     check_delta_conditions,
@@ -27,6 +28,7 @@ from .presets import FIGURE_PRESETS, FigurePreset, check_regime, preset_by_id
 from .sim import (
     EstimateResult,
     Event,
+    Step,
     Trajectory,
     mc_estimate,
     simulate_episode,

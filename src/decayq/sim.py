@@ -21,13 +21,12 @@ passes it on; the caller steps that chunk and gives the half back, so the draw w
 only while both halves are unstepped.  This gives the numbers of drawing the stream at
 once, and the buffer and a chunk's stepping arrays each stay within 4 MiB for any n.
 Stepping the 2 MiB chunks takes less time than drawing them (n = 1e5 on 20x10x3,
-2-CPU Xeon: 50-75 ms against 63-102 ms).
+2-CPU Xeon, medians of 10: 56-62 ms against 93-97 ms, in a 78-101 ms call).
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import math
 import mmap
 import threading
@@ -49,8 +48,8 @@ __all__ = [
 ]
 
 # Byte budget of the noise buffer, whose two halves hold one chunk each, and of one
-# chunk's stepping arrays.  At n = 1e5 on 20x10x3, 2 MiB chunks step in 50-75 ms beside
-# a 63-102 ms draw; with 1 MiB chunks stepping was the slower of the two.
+# chunk's stepping arrays.  At n = 1e5 on 20x10x3, 2 MiB chunks step in 56-62 ms beside
+# a 93-97 ms draw (medians); with 1 MiB chunks stepping was the slower of the two.
 _NOISE_BYTES = 1 << 22
 
 # Largest n*B*V: 2**36 draws alone take 5 to 10 minutes on a 2-CPU Xeon.
@@ -84,21 +83,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.steps)
-
-    def to_jsonl(self) -> str:
-        """One JSON object per step: t, b, v, s, w, cost, event."""
-        lines = []
-        for t, st in enumerate(self.steps):
-            lines.append(json.dumps({
-                "t": t,
-                "b": st.state[0],
-                "v": st.state[1],
-                "s": st.action_index,
-                "w": st.w,
-                "cost": st.stage_cost,
-                "event": st.event.value,
-            }))
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -200,7 +184,7 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
     noise.madvise(getattr(mmap, "MADV_HUGEPAGE", mmap.MADV_NORMAL))
     halves, total = np.frombuffer(noise).reshape(2, chunk, L), np.zeros(n)
 
-    import queue  # here: loaded with the package, it raised solve_large's peak RSS 1 MiB
+    import queue  # here: with the package, it adds 0.125-0.25 MiB to peak RSS
     free, full = queue.SimpleQueue(), queue.SimpleQueue()
     for half in halves:
         free.put(half)

@@ -1,5 +1,7 @@
-"""Config parsing, table materialization, and assumption flags."""
+"""Config parsing, table materialization, assumption flags, and the package's
+exports."""
 
+import importlib
 import json
 import math
 import re
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import decayq
 from decayq import (
     ActionSet,
     ConfigError,
@@ -276,3 +279,10 @@ class TestIndexArguments:
 
 def lowest(model):
     return PolicyTable(np.zeros((model.B + 1, model.V + 1), dtype=int))
+
+
+@pytest.mark.parametrize("name", ["model", "monotone", "presets", "sim", "solver"])
+def test_package_exports_every_module_export(name):
+    module = importlib.import_module(f"decayq.{name}")
+    for export in module.__all__:
+        assert getattr(decayq, export, None) is getattr(module, export), export

@@ -2,6 +2,7 @@
 structural identities of the increment recursion."""
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -41,6 +42,7 @@ from decayq.monotone import RowClass
 from decayq.presets import FIGURE_PRESETS, preset_by_id
 from decayq import csvio, solver
 from decayq.solver import _fixed_chain, _greedy_policy, _greedy_sweep
+from test_metamorphic import scaled
 
 
 def fig_model(preset_id):
@@ -220,6 +222,20 @@ class TestPolicyIteration:
         assert np.all(np.diff(sol.mu[1:, 1:], axis=0) >= 0)
 
 
+def test_solvers_agree_within_the_cost_scale_at_benchmark_size():
+    # 1e-9 is absolute: on 200x100x10 instances the recursion and VI differ by up
+    # to 4.8e-9, within 6 eps*S.  Scaling h, c and r by 2**6 scales every gap by
+    # exactly 64, so these gaps read 1.5e-9 to 1.8e-8, at most 0.19 eps*S.
+    rng = np.random.default_rng(2026)
+    for _ in range(4):
+        m = scaled(random_model(rng, shape=(200, 100, 10)), 6)
+        S = m.B * m.V * sum(float(np.abs(t).max()) for t in (m.h, m.c, m.r))
+        sols = [solve(m) for solve in (solve_recursive, value_iteration, policy_iteration)]
+        for a, b in itertools.combinations(sols, 2):
+            assert np.array_equal(a.mu[1:, 1:], b.mu[1:, 1:])
+            assert np.abs(a.J - b.J).max() <= 64 * np.finfo(float).eps * S
+
+
 class TestStructuralIdentities:
     """Difference identity, policy factorization, and operator identity."""
 
@@ -392,6 +408,15 @@ class TestCsvRoundTrip:
         tables = {k: getattr(sol, k).copy() for k in ("J", "delta", "sigma")}
         tables[name][3, 2] = bad
         with pytest.raises(ValueError, match=r"^state \(3, 2\) has a J, delta or sigma "
+                                             "that is not finite$"):
+            SolutionTable(mu=sol.mu, solver_id="edited", model=sol.model, **tables)
+
+    def test_non_finite_state_named_first_in_row_major_order_over_all_tables(self):
+        sol = solve_recursive(fig_model("1a"))
+        tables = {k: getattr(sol, k).copy() for k in ("J", "delta", "sigma")}
+        tables["delta"][3, 2] = np.nan
+        tables["J"][1, 5] = np.inf
+        with pytest.raises(ValueError, match=r"^state \(1, 5\) has a J, delta or sigma "
                                              "that is not finite$"):
             SolutionTable(mu=sol.mu, solver_id="edited", model=sol.model, **tables)
 

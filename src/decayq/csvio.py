@@ -20,6 +20,9 @@ import numpy as np
 # What int and float take in a number text but to_csv never writes: '_' (1_0),
 # ASCII whitespace but the row separator, and any non-ASCII character (١).
 _NOT_WRITTEN = "_ \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+# What the import says of a row with a number text that int or float refuses.
+_NOT_A_NUMBER = ("has a b, v or mu_index that is not an integer, "
+                 "or a J, delta or sigma that is not a number")
 # The CSV format's fixed lines: its header and its last row, V being the grid's.
 _CSV_HEADER, _CSV_TERMINAL = "b,v,J,mu_index,mu_value,delta,sigma", "0,V,0,,,,"
 # States in one block of to_csv, whose texts are made a column of a block at
@@ -121,9 +124,16 @@ def solution_from_csv(text: str):
                        if _odd_text(line))
         raise ValueError(f"line {n} {line!r} has a character that to_csv never "
                          "writes: whitespace, '_' or a non-ASCII one")
-    for n, line in enumerate(_lines(text), start=1):
+    n, B = 1, 0  # the header is line 1; B is the largest b, the terminal row's 0 included
+    for n, line in enumerate(_lines(text, end + 1), start=2):
         if line.count(",") != 6:
             raise ValueError(f"line {n} has {line.count(',') + 1} fields, expected 7")
+        try:
+            b = int(line.partition(",")[0])
+        except ValueError:
+            raise ValueError(f"line {n} {line!r} {_NOT_A_NUMBER}") from None
+        if b > B:
+            B = b
     if n < 3:
         raise ValueError("no policy rows")
     last = text.rfind("\n", 0, -1) + 1  # where the terminal row starts
@@ -134,7 +144,6 @@ def solution_from_csv(text: str):
     V = int(terminal[1]) if terminal[1].isdecimal() else -1
     if terminal_line != _CSV_TERMINAL.replace("V", str(V)):
         raise ValueError(f"terminal row {terminal_line!r} is not of the form {_CSV_TERMINAL}")
-    B = max(int(line.partition(",")[0]) for line in _lines(text, end + 1, last))
     if n - 2 != B * V:
         raise ValueError(f"{n - 2} policy rows for the {B}x{V} state grid")
     J, delta, sigma = np.zeros((3, B + 1, V + 1))
@@ -143,11 +152,15 @@ def solution_from_csv(text: str):
     top = np.iinfo(mu.dtype).max
     for i, line in enumerate(_lines(text, end + 1, last)):
         r = line.split(",")
-        b, v = int(r[0]), int(r[1])
-        if b != i // V + 1 or v != i % V + 1:
+        state = i // V + 1, i % V + 1  # the row's place, in the grid as n - 2 == B * V
+        try:
+            b, v, a = int(r[0]), int(r[1]), int(r[3])
+            J[state], delta[state], sigma[state] = float(r[2]), float(r[5]), float(r[6])
+        except ValueError:
+            raise ValueError(f"line {i + 2} {line!r} {_NOT_A_NUMBER}") from None
+        if (b, v) != state:
             raise ValueError(f"state ({b}, {v}) is repeated, out of b-major order or "
                              f"outside the {B}x{V} grid")
-        a = int(r[3])
         if not 0 <= a <= top:
             raise ValueError(f"state ({b}, {v}) has {'negative' if a < 0 else 'out-of-range'}"
                              f" mu_index {a}")
@@ -162,8 +175,5 @@ def solution_from_csv(text: str):
         elif action_text[a] != r[4]:
             raise ValueError(f"mu_index {a} has two mu_value texts "
                              f"{action_text[a]!r} and {r[4]!r}")
-        J[b, v] = float(r[2])
-        mu[b, v] = a
-        delta[b, v] = float(r[5])
-        sigma[b, v] = float(r[6])
+        mu[state] = a
     return SolutionTable(J=J, mu=mu, delta=delta, sigma=sigma, solver_id="csv")

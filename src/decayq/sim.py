@@ -42,6 +42,7 @@ __all__ = [
     "Event",
     "Step",
     "Trajectory",
+    "episode_costs",
     "mc_estimate",
     "simulate_episode",
     "step",

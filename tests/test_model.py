@@ -2,6 +2,7 @@
 exports."""
 
 import importlib
+import inspect
 import json
 import math
 import re
@@ -286,3 +287,17 @@ def test_package_exports_every_module_export(name):
     module = importlib.import_module(f"decayq.{name}")
     for export in module.__all__:
         assert getattr(decayq, export, None) is getattr(module, export), export
+
+
+def test_all_lists_every_public_definition_and_the_package_nothing_else():
+    exports = set()
+    for name in ["model", "monotone", "presets", "sim", "solver"]:
+        module = importlib.import_module(f"decayq.{name}")
+        defined = {n for n, obj in vars(module).items()
+                   if not n.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+                   and obj.__module__ == module.__name__}
+        assert defined <= set(module.__all__), (name, defined - set(module.__all__))
+        exports |= set(module.__all__)
+    bound = {n for n, obj in vars(decayq).items()
+             if not n.startswith("__") and not inspect.ismodule(obj)}
+    assert bound == exports

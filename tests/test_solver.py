@@ -394,6 +394,21 @@ class TestCsvRoundTrip:
                                              "never writes"):
             solution_from_csv("\n".join(rows[:2] + [",".join(fields)] + rows[3:]) + "\n")
 
+    @pytest.mark.parametrize("field, text", [
+        (0, "x"), (1, ""), (3, "1.5"), (2, "abc"), (5, ""), (6, "0x10"),
+    ], ids=["b", "v", "mu_index", "J", "delta", "sigma"])
+    def test_number_text_that_int_or_float_refuses_names_its_line(self, field, text):
+        # int's and float's own errors name no line: "invalid literal for int() ..."
+        m = table_model(2, 2, [0.3, 0.7], h=[1.0, 2.0], c=[0.5, 1.5], r=[1.0, 2.0])
+        rows = solve_recursive(m).to_csv().strip().split("\n")
+        fields = rows[2].split(",")
+        fields[field] = text
+        line = ",".join(fields)
+        with pytest.raises(ValueError) as error:
+            solution_from_csv("\n".join(rows[:2] + [line] + rows[3:]) + "\n")
+        assert str(error.value) == (f"line 3 {line!r} has a b, v or mu_index that is not an "
+                                    "integer, or a J, delta or sigma that is not a number")
+
     def test_row_of_non_finite_numbers_rejected(self):
         text = "b,v,J,mu_index,mu_value,delta,sigma\n1,1,nan,0,0.5,inf,-inf\n0,1,0,,,,\n"
         with pytest.raises(ValueError, match=r"state \(1, 1\) has a J, delta or sigma "

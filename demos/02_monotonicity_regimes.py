@@ -5,15 +5,12 @@ V = 10; only the reward function and the action menu change, yet the way
 the optimal service rate responds to value decay is completely different.
 """
 
-import numpy as np
-
 from decayq import (
     ActionSet,
     CostSpec,
     Guarantee,
     ModelConfig,
     check_constant_reward,
-    check_submodular,
     classify_policy,
     solve_recursive,
     validate,
@@ -34,12 +31,6 @@ for preset in FIGURE_PRESETS:
     t2 = [g.value for g in report.theorem2_per_b.values()]
     conclusive = sum(g != "Inconclusive" for g in t2)
     print(f"  delta-condition verdicts: {conclusive}/{len(t2)} rows conclusive")
-
-# --- the submodularity behind every one of these results -------------------
-model = validate(FIGURE_PRESETS[0].config)
-res = check_submodular(model, list(np.linspace(-50, 50, 64)))
-print(f"\nsubmodularity of c(s) - s*x: passed={res.passed}, "
-      f"worst margin {res.worst_margin:.3e}")
 
 # --- constant rewards: one inequality decides the direction ----------------
 # q(b) = h(b) + min_s {c(s) - s*rbar} positive -> give up as value decays;

@@ -10,9 +10,8 @@ Two kinds of statement are checked here:
 
 Verdicts from the algebraic checkers are one-sided guarantees; when neither
 inequality family holds the checker reports Inconclusive and only the
-empirical scan speaks.  All comparisons are exact (no tolerance injected).
-Only ``check_submodular`` reports a margin, its worst quadruple's; the
-Theorem-2 and Theorem-3 verdicts keep no slack.
+empirical scan speaks.  All comparisons are exact (no tolerance injected);
+the Theorem-2 and Theorem-3 verdicts keep no slack.
 """
 
 from __future__ import annotations
@@ -31,10 +30,8 @@ __all__ = [
     "Guarantee",
     "MonotonicityReport",
     "RowClass",
-    "SubmodularityResult",
     "check_constant_reward",
     "check_delta_conditions",
-    "check_submodular",
     "classify_policy",
 ]
 
@@ -102,12 +99,6 @@ class MonotonicityReport:
             else {str(b): g.value for b, g in sorted(self.theorem3_per_b.items())},
         }
         return json.dumps(doc, indent=2)
-
-
-@dataclass(frozen=True)
-class SubmodularityResult:
-    passed: bool
-    worst_margin: float
 
 
 def check_delta_conditions(model: ValidatedModel, solution: SolutionTable, b: int) -> Guarantee:
@@ -208,27 +199,3 @@ def classify_policy(solution: SolutionTable) -> MonotonicityReport:
         theorem2_per_b=thm2,
         theorem3_per_b=None if thm3 is None else dict(enumerate(thm3, start=1)),
     )
-
-
-def check_submodular(model: ValidatedModel, x_grid: list[float]) -> SubmodularityResult:
-    """Verify the submodularity inequality of f(s, x) = c(s) - s*x.
-
-    For every action pair s- < s+ and grid pair x- < x+ the combination
-    f(s+, x+) + f(s-, x-) - f(s+, x-) - f(s-, x+) must be <= 1e-12 (exactly
-    it equals (s+ - s-)(x- - x+)).  Reports the worst (largest) such value
-    over the nontrivial quadruples; degenerate pairs with s- = s+ or
-    x- = x+ contribute exactly 0 and are skipped.  Vacuous pass with worst
-    margin 0 when no nontrivial quadruple exists.
-    """
-    if len(x_grid) == 0:
-        raise ValueError("x_grid must be non-empty")
-    if not np.all(np.isfinite(x_grid)):
-        raise ValueError("x_grid entries must be finite")
-    x = np.array(sorted(set(x_grid)), dtype=float)
-    f = _objective(model, x).T  # f[i, a] = c(s_i) - s_i*x_a
-    lo, hi = np.triu_indices(len(model.actions), 1)  # action pairs s- < s+
-    xlo, xhi = np.triu_indices(len(x), 1)  # grid pairs x- < x+
-    lhs = f[hi][:, xhi] + f[lo][:, xlo]
-    rhs = f[hi][:, xlo] + f[lo][:, xhi]
-    worst = float((lhs - rhs).max()) if lhs.size else 0.0
-    return SubmodularityResult(passed=worst <= 1e-12, worst_margin=worst)

@@ -119,6 +119,8 @@ def g_map(model: ValidatedModel, x: float) -> int:
     The optimal policy factors through this single map: mu(b, v) is g
     evaluated at r(v) + sigma(b, v-1).
     """
+    if not np.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
     return int(np.argmin(_objective(model, x)))  # first occurrence = smallest action
 
 
@@ -128,6 +130,8 @@ def apply_T(model: ValidatedModel, b: int, v: int, x: float) -> float:
     Iterating this operator in v generates sigma(b, .); it is non-decreasing
     in x, which is what makes the in-b monotonicity argument go through.
     """
+    if not np.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
     obj = _objective(model, model.r_of(v) + x)
     # the first minimum, grouped as x + (h + min) to match the running sum in
     # solve_recursive exactly

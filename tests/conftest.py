@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,6 +79,15 @@ def brute_force_optimal(model: ValidatedModel) -> float:
         assignment = dict(zip(states, choice))
         best = min(best, brute_force_policy_value(model, assignment))
     return best
+
+
+def exact_g(model: ValidatedModel, x: float) -> int:
+    """The smallest argmin over s of c(s) - s*x, in ``Fraction``s.  Every
+    finite float is a dyadic rational, so nothing here is rounded."""
+    xf = Fraction(x)
+    f = [Fraction(c) - Fraction(s) * xf
+         for c, s in zip(model.c.tolist(), model.actions.tolist())]
+    return f.index(min(f))
 
 
 @contextlib.contextmanager

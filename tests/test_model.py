@@ -1,11 +1,13 @@
 """Config parsing, table materialization, assumption flags, and the package's
-exports."""
+exports and imports."""
 
+import ast
 import importlib
 import inspect
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,3 +303,27 @@ def test_all_lists_every_public_definition_and_the_package_nothing_else():
     bound = {n for n, obj in vars(decayq).items()
              if not n.startswith("__") and not inspect.ismodule(obj)}
     assert bound == exports
+
+
+def _unread_imports(path):
+    """Names that a module imports and never reads; ``__future__`` and star
+    imports and the names in ``__all__`` are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_every_imported_name_is_read():
+    root = Path(__file__).resolve().parent.parent
+    paths = [p for d in ("src/decayq", "demos", "tests") for p in sorted((root / d).rglob("*.py"))]
+    assert len(paths) > 20
+    assert [hit for p in paths for hit in _unread_imports(p)] == []

@@ -15,7 +15,6 @@ from decayq import (
     Guarantee,
     check_constant_reward,
     check_delta_conditions,
-    check_submodular,
     classify_policy,
     solution_from_csv,
     solve_recursive,
@@ -165,52 +164,6 @@ class TestCheckRegime:
                         c=[1.0, 2.0, 2.0], r=[2.0, 1.0, 3.0, 2.0])
         failures = check_regime(preset_by_id("1a"), classify_policy(solve_recursive(m)))
         assert failures[0] == "in-b verdict Violated, expected NonDecreasing"
-
-
-class TestSubmodularity:
-    def test_random_models_pass(self):
-        rng = np.random.default_rng(61)
-        for _ in range(20):
-            m = random_model(rng)
-            grid = list(rng.uniform(-30, 30, size=16))
-            res = check_submodular(m, grid)
-            assert res.passed
-
-    def test_singleton_vacuous(self):
-        m = table_model(1, 1, [0.5], h=[1.0], c=[0.5], r=[1.0])
-        res = check_submodular(m, [-1.0, 0.0, 1.0])
-        assert res.passed and res.worst_margin == 0.0
-
-    def test_extreme_pair_margin(self):
-        m = table_model(1, 1, [0.0, 1.0], h=[0.0], c=[0.0, 0.0], r=[1.0])
-        res = check_submodular(m, [-1.0, 1.0])
-        assert res.passed and res.worst_margin == -2.0
-
-    @pytest.mark.parametrize("grid", [[0.0, float("inf")], [float("nan"), 1.0], [-float("inf")]])
-    def test_non_finite_grid_rejected(self, grid):
-        m = table_model(1, 1, [0.0, 1.0], h=[0.0], c=[0.0, 0.0], r=[1.0])
-        with pytest.raises(ValueError, match="finite"):
-            check_submodular(m, grid)
-
-    def test_empty_grid_rejected(self):
-        m = table_model(1, 1, [0.0, 1.0], h=[0.0], c=[0.0, 0.0], r=[1.0])
-        with pytest.raises(ValueError, match="^x_grid must be non-empty$"):
-            check_submodular(m, [])
-
-    def test_passed_is_a_python_bool(self):
-        m = table_model(1, 1, [0.0, 1.0], h=[0.0], c=[0.0, 0.0], r=[1.0])
-        assert type(check_submodular(m, [-1.0, 1.0]).passed) is bool
-
-    def test_margin_is_closed_form(self):
-        # difference must equal (s+ - s-)(x- - x+) to machine precision
-        rng = np.random.default_rng(67)
-        for _ in range(50):
-            s_lo, s_hi = np.sort(rng.uniform(0, 1, size=2))
-            x_lo, x_hi = np.sort(rng.uniform(-10, 10, size=2))
-            c_lo, c_hi = rng.uniform(0, 5, size=2)
-            lhs = (c_hi - s_hi * x_hi) + (c_lo - s_lo * x_lo)
-            rhs = (c_hi - s_hi * x_lo) + (c_lo - s_lo * x_hi)
-            assert abs((lhs - rhs) - (s_hi - s_lo) * (x_lo - x_hi)) < 1e-12
 
 
 class TestCheckerSoundness:

@@ -39,7 +39,7 @@ from decayq import (
 )
 from decayq.cli import _boundaries
 from decayq.monotone import RowClass
-from decayq.presets import FIGURE_PRESETS, preset_by_id
+from decayq.presets import preset_by_id
 from decayq import csvio, solver
 from decayq.solver import _fixed_chain, _greedy_policy, _greedy_sweep
 from test_metamorphic import scaled
@@ -121,6 +121,11 @@ class TestApplyT:
         with pytest.raises(ValueError, match="outside"):
             apply_T(m, b, v, 0.5)
 
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_x_rejected(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            apply_T(fig_model("1a"), 1, 1, x)
+
 
 class TestGMap:
     def test_exact_tie_broken_to_smallest(self):
@@ -138,6 +143,11 @@ class TestGMap:
             xs = np.sort(rng.uniform(-50, 50, size=32))
             out = [g_map(m, x) for x in xs]
             assert all(a <= b for a, b in zip(out, out[1:]))
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_x_rejected(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            g_map(fig_model("1a"), x)
 
 
 class TestBellmanBackup:

@@ -52,7 +52,7 @@ b = 4
 print(f"\nrow b={b}: delta = {np.round(rec.delta[b, 1:], 4)}")
 print(f"row b={b}: sigma = {np.round(rec.sigma[b, 1:], 4)}")
 for v in range(1, 6):
-    x = model.r_of(v) + rec.sigma[b, v - 1]
+    x = model.r[v - 1] + rec.sigma[b, v - 1]
     assert rec.mu[b, v] == g_map(model, x)
     assert apply_T(model, b, v, rec.sigma[b, v - 1]) == rec.sigma[b, v]
 print("policy factorization and operator identity verified on that row")

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .model import ConfigError, ValidatedModel, ValidationError, load_config, validate
+from .model import ConfigError, ValidatedModel, load_config, validate
 from .monotone import classify_policy
 from .presets import FIGURE_PRESETS, check_regime
 from .sim import mc_estimate
@@ -189,7 +189,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError, OSError) as exc:  # OSError: an output write failed
+    except (ConfigError, OSError) as exc:  # OSError: an output write failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

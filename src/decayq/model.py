@@ -27,7 +27,6 @@ __all__ = [
     "ConfigError",
     "CostSpec",
     "ModelConfig",
-    "ValidationError",
     "ValidatedModel",
     "load_config",
     "materialize",
@@ -55,11 +54,7 @@ _MAX_COST_SCALE = 2.0 ** 497
 
 
 class ConfigError(ValueError):
-    """Malformed, mistyped, or out-of-range configuration input."""
-
-
-class ValidationError(ValueError):
-    """A model whose materialized tables violate a hard requirement."""
+    """Malformed, mistyped, or out-of-range input, or tables that break a hard requirement."""
 
 
 @dataclass(frozen=True)
@@ -179,18 +174,6 @@ class ValidatedModel:
     def actions(self) -> np.ndarray:
         return np.asarray(self.config.actions.values)
 
-    def h_of(self, b: int) -> float:
-        _check_index("b", b, 1, self.B)
-        return float(self.h[b - 1])
-
-    def c_of(self, action_index: int) -> float:
-        _check_index("action index", action_index, 0, len(self.c) - 1)
-        return float(self.c[action_index])
-
-    def r_of(self, v: int) -> float:
-        _check_index("v", v, 1, self.V)
-        return float(self.r[v - 1])
-
 
 def _is_index(i, lo: int, hi: int) -> bool:
     """Whether i is an integer in [lo, hi]: a bool or a float is no index."""
@@ -218,8 +201,8 @@ def materialize(spec: CostSpec, args: Sequence[float]) -> np.ndarray:
     """
     if spec.kind == "table":
         if len(spec.values) != len(args):
-            raise ValidationError(f"table of length {len(spec.values)} cannot cover "
-                                  f"a domain of size {len(args)}")
+            raise ConfigError(f"table of length {len(spec.values)} cannot cover "
+                              f"a domain of size {len(args)}")
         out = np.array(spec.values, dtype=float)
     else:
         f = _FAMILIES[spec.kind][1]
@@ -227,8 +210,8 @@ def materialize(spec: CostSpec, args: Sequence[float]) -> np.ndarray:
 
     if not np.all(np.isfinite(out)):
         bad = int(np.flatnonzero(~np.isfinite(out))[0])
-        raise ValidationError(f"{spec.kind} spec evaluates to a non-finite value "
-                              f"at domain entry {bad}")
+        raise ConfigError(f"{spec.kind} spec evaluates to a non-finite value "
+                          f"at domain entry {bad}")
     out.flags.writeable = False
     return out
 
@@ -246,11 +229,11 @@ def validate(config: ModelConfig) -> ValidatedModel:
     r = materialize(config.reward, range(1, config.V + 1))
     if np.any(r <= 0.0):
         bad = int(np.flatnonzero(r <= 0.0)[0]) + 1
-        raise ValidationError(f"reward must be strictly positive; r({bad}) = {r[bad - 1]}")
+        raise ConfigError(f"reward must be strictly positive; r({bad}) = {r[bad - 1]}")
     scale = config.B * config.V * sum(float(np.abs(t).max()) for t in (h, c, r))
     if scale > _MAX_COST_SCALE:
-        raise ValidationError(f"cost scale B*V*(max|h| + max|c| + max|r|) = {scale:.6g} "
-                              f"exceeds the limit of {_MAX_COST_SCALE:.6g} (2**497)")
+        raise ConfigError(f"cost scale B*V*(max|h| + max|c| + max|r|) = {scale:.6g} "
+                          f"exceeds the limit of {_MAX_COST_SCALE:.6g} (2**497)")
     flags = AssumptionFlags(
         h_nondecreasing=bool(np.all(np.diff(h) >= 0.0)),
         c_nondecreasing=bool(np.all(np.diff(c) >= 0.0)),

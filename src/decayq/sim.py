@@ -15,11 +15,12 @@ fixed block partition: episode i consumes stream positions
 [i*B*V, (i+1)*B*V).  The derivation depends only on (seed, episode index),
 so results are independent of execution order and bit-exactly replayable;
 ``simulate_episode`` replays episode 0 of that stream.
-The stream is drawn in chunks of whole episodes into the halves of one 4 MiB buffer.
+The stream is drawn in chunks of whole episodes into the halves of one buffer.
 One drawing thread takes a free half from a queue, draws the next chunk into it and
 passes it on; the caller steps that chunk and gives the half back, so the draw waits
 only while both halves are unstepped.  This gives the numbers of drawing the stream at
-once, and the buffer and a chunk's stepping arrays each stay within 4 MiB for any n.
+once.  For any n a chunk's stepping arrays stay within 4 MiB, and the buffer within the
+larger of 4 MiB and 16*B*V bytes, the two halves of one episode.
 Stepping the 2 MiB chunks takes less time than drawing them (n = 1e5 on 20x10x3,
 2-CPU Xeon, medians of 10: 56-62 ms against 93-97 ms, in a 78-101 ms call).
 """
@@ -130,7 +131,7 @@ def simulate_episode(model: ValidatedModel, policy: PolicyTable,
     W = np.random.default_rng(seed).random(model.B * model.V).tolist()
     state, steps, total = (int(initial[0]), int(initial[1])), [], 0.0
     for w in W:
-        a = policy.s_at(*state)
+        a = int(policy.action_index[state])
         nxt, cost, event = step(model, state, a, w)
         steps.append(Step(state=state, action_index=a, w=w, stage_cost=cost, event=event))
         total += cost
@@ -146,13 +147,14 @@ def episode_costs(model: ValidatedModel, policy: PolicyTable,
     """Total cost of each of n episodes under the block-partitioned stream.
 
     Episode i uses noise values W[i*L:(i+1)*L] of ``default_rng(seed)``,
-    L = B*V, drawn in chunks of whole episodes (at least one) into the two
-    halves of one ``_NOISE_BYTES`` buffer: successive ``random(out=...)`` calls
-    continue the stream of ``random(n*L)``; a chunk's stepping arrays also fit in
-    ``_NOISE_BYTES``.  One drawing thread fills free halves in stream order while
-    this thread steps each drawn chunk in lockstep on the ``_dynamics`` tables, keyed
-    2*id + success, until every id is in row 0, and then frees its half; a failed
-    draw is re-raised here, and no draw outlives the call.
+    L = B*V, drawn in chunks of whole episodes (at least one) into the two halves
+    of one buffer of at most ``max(_NOISE_BYTES, 16*L)`` bytes: successive
+    ``random(out=...)`` calls continue the stream of ``random(n*L)``; a chunk's
+    stepping arrays fit in ``_NOISE_BYTES``.  One drawing thread fills free halves
+    in stream order while this thread steps each drawn chunk in lockstep on the
+    ``_dynamics`` tables, keyed 2*id + success, until every id is in row 0, and
+    then frees its half; a failed draw is re-raised here, and no draw outlives
+    the call.
     """
     if not _is_index(n, 1, np.inf):
         raise ConfigError(f"n must be an int >= 1, not {n!r}")

@@ -59,9 +59,6 @@ class PolicyTable:
 
     action_index: np.ndarray
 
-    def s_at(self, b: int, v: int) -> int:
-        return int(self.action_index[b, v])
-
 
 @dataclass(frozen=True)
 class SolutionTable:
@@ -132,10 +129,11 @@ def apply_T(model: ValidatedModel, b: int, v: int, x: float) -> float:
     """
     if not np.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    obj = _objective(model, model.r_of(v) + x)
+    _check_state(model, (b, v))
+    obj = _objective(model, model.r[v - 1] + x)
     # the first minimum, grouped as x + (h + min) to match the running sum in
     # solve_recursive exactly
-    return x + (model.h_of(b) + float(obj[np.argmin(obj)]))
+    return x + (float(model.h[b - 1]) + float(obj[np.argmin(obj)]))
 
 
 def solve_recursive(model: ValidatedModel) -> SolutionTable:

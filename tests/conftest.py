@@ -62,8 +62,8 @@ def brute_force_policy_value(model: ValidatedModel, assignment: dict) -> float:
         s = float(model.actions[a])
         down = value(b - 1, model.V)
         cont = value(b, v - 1) if v > 1 else down
-        out = (model.c_of(a) + model.h_of(b)
-               + s * (down - model.r_of(v)) + (1.0 - s) * cont)
+        out = (model.c[a] + model.h[b - 1]
+               + s * (down - model.r[v - 1]) + (1.0 - s) * cont)
         memo[(b, v)] = out
         return out
 

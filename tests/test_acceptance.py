@@ -86,11 +86,11 @@ def test_criterion_3_structural_identity_suite(batch200):
         # policy factorization through g and the one-step operator identity
         for b in range(1, B + 1):
             for v in range(1, V + 1):
-                assert sol.mu[b, v] == g_map(m, m.r_of(v) + sol.sigma[b, v - 1])
+                assert sol.mu[b, v] == g_map(m, m.r[v - 1] + sol.sigma[b, v - 1])
                 assert apply_T(m, b, v, sol.sigma[b, v - 1]) == sol.sigma[b, v]
         # operator monotonicity, and g non-decreasing in exact arithmetic, on a
         # 64-point grid
-        big = max(m.r_of(v) + sol.sigma[b, v - 1]
+        big = max(m.r[v - 1] + sol.sigma[b, v - 1]
                   for b in range(1, B + 1) for v in range(1, V + 1))
         grid = np.linspace(-2.0 * big, 2.0 * big, 64)  # big >= r(1) > 0
         for b in range(1, B + 1):

@@ -1,9 +1,9 @@
 """Property tests on outside input: config JSON, exported CSV and the CLI.
 
-Whatever the bytes, a config is either a model or a ConfigError /
-ValidationError, a CSV body is either a solution or a ValueError, and the
-CLI exits 0 or 1 without a traceback; an accepted model's costs are small
-enough that nothing computed from them overflows.  Accepted models stay
+Whatever the bytes, a config is either a model or a ConfigError, a CSV
+body is either a solution or a ValueError, and the CLI exits 0 or 1
+without a traceback; an accepted model's costs are small enough that
+nothing computed from them overflows.  Accepted models stay
 small: B, V <= 30 and at most 5 actions, so every example runs in
 milliseconds.
 """
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from conftest import table_model
 from decayq import (
     ConfigError,
-    ValidationError,
     load_config,
     mc_estimate,
     policy_iteration,
@@ -116,10 +115,10 @@ def config_texts():
 
 @settings(max_examples=300, deadline=None)
 @given(text=config_texts())
-def test_config_input_raises_only_config_or_validation_errors(text):
+def test_config_input_raises_only_config_errors(text):
     try:
         model = validate(load_config(text))
-    except (ConfigError, ValidationError):
+    except ConfigError:
         return
     assert model.B <= 30 and model.V <= 30 and len(model.actions) <= 5
 
@@ -154,7 +153,7 @@ def check_costs_keep_every_number_finite(B, V, actions, h, c, r, to_the_limit):
         warnings.simplefilter("error")
         try:
             m = table_model(B, V, actions, h, c, r)
-        except ValidationError:
+        except ConfigError:
             assert not to_the_limit
             return
         solutions = [solve(m) for solve in (solve_recursive, value_iteration, policy_iteration)]

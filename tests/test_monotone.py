@@ -212,8 +212,8 @@ class TestCheckerSoundness:
             sol = solve_recursive(m)
             for b in range(1, m.B + 1):
                 for v in range(1, m.V):
-                    lhs = sol.delta[b, v] + m.r_of(v + 1) - m.r_of(v)
-                    rhs = (m.r_of(v + 1) + sol.sigma[b, v]) - (m.r_of(v) + sol.sigma[b, v - 1])
+                    lhs = sol.delta[b, v] + m.r[v] - m.r[v - 1]
+                    rhs = (m.r[v] + sol.sigma[b, v]) - (m.r[v - 1] + sol.sigma[b, v - 1])
                     assert abs(lhs - rhs) < 1e-9
                     if abs(lhs) > 1e-9:
                         assert np.sign(lhs) == np.sign(rhs)

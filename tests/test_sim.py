@@ -41,7 +41,7 @@ def reference_episode(model, policy, initial, seed):
     rng = np.random.default_rng(seed)
     state, steps, total = initial, [], 0.0
     while state[0] > 0:
-        a = policy.s_at(*state)
+        a = int(policy.action_index[state])
         w = float(rng.random())
         nxt, cost, event = step(model, state, a, w)
         steps.append(Step(state=state, action_index=a, w=w, stage_cost=cost, event=event))
@@ -378,7 +378,7 @@ class TestNoiseChunks:
             draws = iter(stream.random(B * V).tolist())
             state, total = initial, 0.0
             while state[0] > 0:
-                state, cost, _ = step(m, state, pol.s_at(*state), next(draws))
+                state, cost, _ = step(m, state, int(pol.action_index[state]), next(draws))
                 total += cost
             want.append(total)
         assert got.tobytes() == np.array(want).tobytes()
@@ -590,4 +590,8 @@ class TestDrawAhead:
             episode_costs(m, pol, (m.B, m.V), n, seed=3)
         assert lengths[0] == 16 * m.B * m.V  # two halves of one episode
         assert 0.99 * sim._NOISE_BYTES < lengths[1] <= sim._NOISE_BYTES
+        # one episode's halves exceed the budget: the chunk floors at one episode
+        m = table_model(2 ** 19, 1, [0.5], h=[1.0] * 2 ** 19, c=[0.0], r=[1.0])
+        episode_costs(m, const_policy(m, 0), (1, 1), 2, seed=3)
+        assert lengths[2] == 16 * m.B * m.V > sim._NOISE_BYTES
 

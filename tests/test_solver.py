@@ -266,7 +266,7 @@ class TestStructuralIdentities:
             sol = solve_recursive(m)
             for b in range(1, m.B + 1):
                 for v in range(1, m.V + 1):
-                    assert sol.mu[b, v] == g_map(m, m.r_of(v) + sol.sigma[b, v - 1])
+                    assert sol.mu[b, v] == g_map(m, m.r[v - 1] + sol.sigma[b, v - 1])
 
     def test_operator_identity(self):
         for m in self._models():
@@ -564,10 +564,10 @@ def reference_recursion(model):
     J, delta, sigma = np.zeros((3, B + 1, V + 1))
     mu = np.zeros((B + 1, V + 1), dtype=int)
     for b in range(1, B + 1):
-        hb = model.h_of(b)
+        hb = model.h[b - 1]
         sig = 0.0
         for v in range(1, V + 1):
-            obj = model.c - model.actions * (model.r_of(v) + sig)
+            obj = model.c - model.actions * (model.r[v - 1] + sig)
             a = int(np.argmin(obj))
             d = hb + float(obj[a])
             delta[b, v] = d
@@ -594,7 +594,7 @@ def reference_report(sol):
                     else RowClass(Direction.NON_DECREASING) if dec is None
                     else RowClass(Direction.NON_INCREASING) if inc is None
                     else RowClass(Direction.MIXED, witness=((b, dec), (b, dec + 1))))
-        pairs = [(sol.delta[b, v], -(model.r_of(v + 1) - model.r_of(v))) for v in range(1, V)]
+        pairs = [(sol.delta[b, v], -(model.r[v] - model.r[v - 1])) for v in range(1, V)]
         thm2[b] = (Guarantee.NON_DECREASING if all(not lhs < rhs for lhs, rhs in pairs)
                    else Guarantee.NON_INCREASING if all(not lhs > rhs for lhs, rhs in pairs)
                    else Guarantee.INCONCLUSIVE)
@@ -611,7 +611,7 @@ def reference_near_ties(sol, window):
     model, out = sol.model, []
     for b in range(1, sol.B + 1):
         for v in range(1, sol.V + 1):
-            obj = model.c - model.actions * (model.r_of(v) + sol.sigma[b, v - 1])
+            obj = model.c - model.actions * (model.r[v - 1] + sol.sigma[b, v - 1])
             if np.sum(obj <= obj.min() + window) > 1:
                 out.append((b, v))
     return out
@@ -654,7 +654,7 @@ def reference_backward_pass(model, J, fixed=None):
         for v in range(1, model.V + 1):
             down = J[b - 1, model.V]
             cont = J[b, v - 1] if v > 1 else down
-            vals = model.c + model.h_of(b) + s * (down - model.r_of(v)) + (1.0 - s) * cont
+            vals = model.c + model.h[b - 1] + s * (down - model.r[v - 1]) + (1.0 - s) * cont
             mu[b, v] = a = int(np.argmin(vals))
             new = float(vals[a if fixed is None else fixed[b, v]])
             residual = max(residual, abs(new - J[b, v]))
